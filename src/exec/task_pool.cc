@@ -172,6 +172,7 @@ void TaskPool::WorkLoop(int worker) {
       seen_generation = job_generation_;
     }
     RunJob(worker);
+    job_helpers_active_.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -218,6 +219,7 @@ std::vector<std::exception_ptr> TaskPool::ParallelForCaptured(
     job_fn_ = &fn;
     job_errors_ = &errors;
     job_pending_.store(count, std::memory_order_release);
+    job_helpers_active_.store(worker_count_ - 1, std::memory_order_relaxed);
     // One contiguous chunk per worker; the imbalance is what stealing fixes.
     size_t base = count / static_cast<size_t>(worker_count_);
     size_t remainder = count % static_cast<size_t>(worker_count_);
@@ -233,6 +235,10 @@ std::vector<std::exception_ptr> TaskPool::ParallelForCaptured(
   }
   job_cv_.notify_all();
   RunJob(0);  // The caller is worker 0; returns once every index completed.
+  // Every index is done; wait for the helpers too (see job_helpers_active_).
+  while (job_helpers_active_.load(std::memory_order_acquire) > 0) {
+    std::this_thread::yield();
+  }
   return errors;
 }
 

@@ -129,6 +129,12 @@ class TaskPool {
   const std::function<void(size_t)>* job_fn_ = nullptr;
   uint64_t job_generation_ = 0;
   std::atomic<size_t> job_pending_{0};  // Indices not yet fully executed.
+  // Helper workers (all but the caller) not yet out of RunJob for the current
+  // job. Set to worker_count_ - 1 when a job is installed; each helper
+  // decrements it on leaving RunJob, and ParallelForCaptured returns only at
+  // 0. So no helper can still be inside RunJob — e.g. mid-Steal, about to
+  // store into its own slot — when the next job installs its ranges.
+  std::atomic<int> job_helpers_active_{0};
   // Per-index exception slots for the running job. Each worker writes only
   // the slots of indices it executed (exactly once each), so no two threads
   // touch the same slot; the join in ParallelForCaptured orders the reads.

@@ -27,7 +27,7 @@ Interpreter::Interpreter(const mj::Program& program, const mj::ProgramIndex& ind
     : program_(program), index_(index), options_(options) {
   dispatch_cache_.resize(index.call_site_count());
   if (options_.engine == EngineKind::kVm) {
-    compiled_ = vm::Compile(program, index);
+    compiled_ = vm::CompiledFor(program, index);
   }
 }
 

@@ -176,6 +176,9 @@ class Interpreter {
   int64_t loop_iterations() const { return loop_iterations_; }
   std::vector<std::string> CaptureStack() const;
   const mj::ProgramIndex& index() const { return index_; }
+  // The shared bytecode this interpreter runs (one per ProgramIndex, see
+  // vm::CompiledFor); null under EngineKind::kTree, which never compiles.
+  const vm::CompiledProgram* compiled() const { return compiled_.get(); }
 
   // --- Run reuse -------------------------------------------------------------
   // Restores the observable state of a freshly-constructed interpreter while
@@ -344,8 +347,9 @@ class Interpreter {
   size_t arg_buffer_depth_ = 0;
   std::vector<DispatchEntry> dispatch_cache_;  // Indexed by CallExpr::site_index.
   // Bytecode for every method body (null when engine == kTree). Compiled once
-  // at construction — a pure function of the immutable shared program, like
-  // the dispatch cache — so it survives ResetForRun and arena reuse.
+  // per ProgramIndex and shared by every interpreter on it — a pure function of
+  // the immutable shared program, like the dispatch cache — so it survives
+  // ResetForRun and arena reuse.
   std::shared_ptr<const vm::CompiledProgram> compiled_;
   // Pooled VM operand stacks, indexed by VM invocation depth (a callee's VM
   // run nests inside its caller's). Same warm-capacity discipline as

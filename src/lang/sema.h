@@ -11,9 +11,11 @@
 #define WASABI_SRC_LANG_SEMA_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/lang/ast.h"
@@ -28,6 +30,24 @@ namespace mj {
 struct StringHash {
   using is_transparent = void;
   size_t operator()(std::string_view text) const { return std::hash<std::string_view>{}(text); }
+};
+
+// A value built at most once, lazily and thread-safely, then shared by every
+// reader. Type-erased so an index can own an artifact of a layer above
+// src/lang; that layer reads it through one typed accessor.
+class OnceSlot {
+ public:
+  // Runs `build` on the first call (concurrent first callers wait for it) and
+  // returns its result to every caller. `T` is the type `build` returns.
+  template <typename T, typename Build>
+  std::shared_ptr<const T> Get(Build&& build) {
+    std::call_once(once_, [&] { value_ = std::forward<Build>(build)(); });
+    return std::static_pointer_cast<const T>(value_);
+  }
+
+ private:
+  std::once_flag once_;
+  std::shared_ptr<const void> value_;
 };
 
 // A whole application: owns its compilation units.
@@ -133,6 +153,12 @@ class ProgramIndex {
   // tables (MethodDecl::method_index is dense in [0, method_count)).
   uint32_t method_count() const { return resolution_.method_count; }
 
+  // The program's bytecode (vm::CompiledProgram), compiled on first use and
+  // shared by every interpreter on this index. Read it only through
+  // vm::CompiledFor (src/vm/bytecode.h). The slot lives and dies with the
+  // index, so a rebuilt index — repair's patched program — compiles its own.
+  OnceSlot& compiled_program_slot() const { return compiled_program_; }
+
  private:
   std::unordered_map<std::string, const ClassDecl*, StringHash, std::equal_to<>> classes_by_name_;
   std::unordered_map<const ClassDecl*, const CompilationUnit*> unit_of_class_;
@@ -143,6 +169,7 @@ class ProgramIndex {
   std::vector<const ClassDecl*> all_classes_;
   std::vector<const MethodDecl*> all_methods_;
   ResolveResult resolution_;
+  mutable OnceSlot compiled_program_;
   static const std::vector<std::string> kNoThrows;
 };
 

@@ -56,8 +56,9 @@ std::map<std::string, TestStatus> RunCleanSuite(const mj::Program& program,
   runner_options.config_overrides = options.default_configs;
   TestRunner runner(program, index, runner_options);
   std::map<std::string, TestStatus> outcomes;
+  InterpreterArena arena;
   for (const TestCase& test : runner.DiscoverTests()) {
-    outcomes[test.qualified_name] = runner.RunTest(test).outcome.status;
+    outcomes[test.qualified_name] = runner.RunTest(test, {}, &arena).outcome.status;
   }
   return outcomes;
 }
@@ -211,14 +212,17 @@ std::vector<SingleFaultProbe> PlanSingleFaultProbes(const DynamicResult& baselin
   return probes;
 }
 
+// `arena` must not outlive `index`: Acquire recognizes an index by address,
+// and a later patched index may be allocated at the same one.
 TestStatus RunSingleFaultProbe(const mj::Program& program, const mj::ProgramIndex& index,
-                               const WasabiOptions& options, const SingleFaultProbe& probe) {
+                               const WasabiOptions& options, const SingleFaultProbe& probe,
+                               InterpreterArena& arena) {
   RunnerOptions runner_options;
   runner_options.interp = options.interp;
   runner_options.config_overrides = options.default_configs;
   TestRunner runner(program, index, runner_options);
   FaultInjector injector({probe.point});
-  return runner.RunTest(TestCase{probe.test}, {&injector}).outcome.status;
+  return runner.RunTest(TestCase{probe.test}, {&injector}, &arena).outcome.status;
 }
 
 std::string JoinSorted(const std::vector<std::string>& items) {
@@ -256,6 +260,7 @@ RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index
   PipelineRun baseline = RunPipelineOnce(program, index, options.wasabi, options.storm);
   WasabiOptions validation_options = SanitizeForValidation(options.wasabi);
   SimRepair sim(options.sim);
+  InterpreterArena baseline_arena;  // Pre-patch K=1 probes on `program`.
 
   CacheStats cache_before;
   if (options.wasabi.cache != nullptr) {
@@ -386,15 +391,17 @@ RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index
     bool single_fault_regressed = false;
     std::string regressed_probe_test;
     if (row.tmpl != RepairTemplate::kShedOnOverload) {
+      InterpreterArena patched_arena;  // Dies with this bug's patched_index.
       for (const SingleFaultProbe& probe :
            PlanSingleFaultProbes(baseline.dyn, bug.coordinator)) {
-        TestStatus pre = RunSingleFaultProbe(program, index, validation_options, probe);
+        TestStatus pre =
+            RunSingleFaultProbe(program, index, validation_options, probe, baseline_arena);
         if (pre != TestStatus::kPassed) {
           // This fault was never absorbed pre-patch; it carries no signal.
           continue;
         }
-        TestStatus after =
-            RunSingleFaultProbe(patched, patched_index, validation_options, probe);
+        TestStatus after = RunSingleFaultProbe(patched, patched_index, validation_options,
+                                               probe, patched_arena);
         if (after != TestStatus::kPassed) {
           single_fault_regressed = true;
           regressed_probe_test = probe.test;

@@ -7,6 +7,7 @@
 #include "src/exec/task_pool.h"
 #include "src/interp/exec_log.h"
 #include "src/interp/interpreter.h"
+#include "src/testing/runner.h"
 
 namespace wasabi {
 namespace {
@@ -58,10 +59,10 @@ struct ProbeResult {
 };
 
 ProbeResult RunProbe(const mj::Program& program, const mj::ProgramIndex& index,
-                     const std::string& service, const std::string& exception,
-                     int64_t request_id) {
+                     InterpreterArena& arena, const std::string& service,
+                     const std::string& exception, int64_t request_id) {
   ProbeResult result;
-  Interpreter interp(program, index, ProbeOptions());
+  Interpreter& interp = arena.Acquire(program, index, ProbeOptions());
   interp.SetConfig("storm.request.id", Value{request_id});
   SendProbe probe(service + ".send", exception);
   interp.AddInterceptor(&probe);
@@ -92,13 +93,18 @@ EdgeRetryProfile ProbeService(const mj::Program& program, const mj::ProgramIndex
     profile.file = unit->file().name();
   }
 
+  // The four probes run back to back on one warm interpreter.
+  InterpreterArena arena;
+
   // Probe 0 (clean): fan-out = sends per successful request.
-  ProbeResult clean = RunProbe(program, index, cls.name, /*exception=*/"", /*request_id=*/0);
+  ProbeResult clean =
+      RunProbe(program, index, arena, cls.name, /*exception=*/"", /*request_id=*/0);
   profile.fanout = static_cast<int>(std::max<int64_t>(1, clean.send_fires));
 
   // Probe 1 (persistent transport failure): attempts + backoff schedule.
   ProbeResult transport =
-      RunProbe(program, index, cls.name, "ServiceUnavailableException", /*request_id=*/0);
+      RunProbe(program, index, arena, cls.name, "ServiceUnavailableException",
+               /*request_id=*/0);
   profile.bounded = !transport.aborted;
   profile.attempts = static_cast<int>(
       std::clamp<int64_t>(transport.send_fires, 1, kMaxRecordedAttempts));
@@ -107,7 +113,8 @@ EdgeRetryProfile ProbeService(const mj::Program& program, const mj::ProgramIndex
   // Probe 2 (same failure, different request identity): a backoff schedule
   // that depends on which request is retrying is jittered.
   ProbeResult shifted =
-      RunProbe(program, index, cls.name, "ServiceUnavailableException", /*request_id=*/1);
+      RunProbe(program, index, arena, cls.name, "ServiceUnavailableException",
+               /*request_id=*/1);
   const size_t compare = std::min(transport.sleeps_ms.size(), shifted.sleeps_ms.size());
   for (size_t i = 0; i < compare; ++i) {
     if (transport.sleeps_ms[i] != shifted.sleeps_ms[i]) {
@@ -119,7 +126,8 @@ EdgeRetryProfile ProbeService(const mj::Program& program, const mj::ProgramIndex
   // Probe 3 (overload push-back): a frontend that sends again after
   // ResourceExhaustedException retries on overload instead of shedding.
   ProbeResult overload =
-      RunProbe(program, index, cls.name, "ResourceExhaustedException", /*request_id=*/0);
+      RunProbe(program, index, arena, cls.name, "ResourceExhaustedException",
+               /*request_id=*/0);
   profile.retries_on_overload = overload.send_fires >= 2;
   if (profile.retries_on_overload && !overload.sleeps_ms.empty()) {
     profile.overload_backoff_ms = overload.sleeps_ms.front();

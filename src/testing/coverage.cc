@@ -28,9 +28,10 @@ void CoverageRecorder::Reset() {
 CoverageMap MapCoverage(const TestRunner& runner, const std::vector<TestCase>& tests,
                         const std::vector<RetryLocation>& locations) {
   CoverageMap coverage;
+  InterpreterArena arena;
   for (const TestCase& test : tests) {
     CoverageRecorder recorder(&locations);
-    runner.RunTest(test, {&recorder});
+    runner.RunTest(test, {&recorder}, &arena);
     if (!recorder.hits().empty()) {
       coverage[test.qualified_name] = recorder.hits();
     }

@@ -1,6 +1,5 @@
 #include "src/testing/runner.h"
 
-#include <optional>
 #include <sstream>
 
 namespace wasabi {
@@ -80,9 +79,9 @@ TestRunRecord TestRunner::RunTest(const TestCase& test,
   TestRunRecord record;
   record.test = test;
 
-  std::optional<Interpreter> local;
-  Interpreter& interp = arena != nullptr ? arena->Acquire(program_, index_, options_.interp)
-                                         : local.emplace(program_, index_, options_.interp);
+  InterpreterArena local;
+  Interpreter& interp =
+      (arena != nullptr ? *arena : local).Acquire(program_, index_, options_.interp);
   if (perturbation.virtual_clock_epoch_ms != 0) {
     interp.set_run_epoch_ms(perturbation.virtual_clock_epoch_ms);
   }

@@ -76,8 +76,9 @@ class TestRunner {
   // Runs one test with optional extra interceptors (injector, coverage
   // recorder). Never throws: all outcomes are captured in the record.
   // With an arena, the run reuses the arena's warm interpreter (identical
-  // observable behavior, no per-run construction); without one, a fresh
-  // interpreter is built as before.
+  // observable behavior, no per-run construction); without one, a throwaway
+  // arena builds a fresh interpreter. Either way the bytecode is the index's
+  // one shared compilation (vm::CompiledFor).
   TestRunRecord RunTest(const TestCase& test, std::vector<CallInterceptor*> interceptors = {},
                         InterpreterArena* arena = nullptr) const;
 

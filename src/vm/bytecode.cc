@@ -659,4 +659,10 @@ std::shared_ptr<const CompiledProgram> Compile(const mj::Program& program,
   return compiled;
 }
 
+std::shared_ptr<const CompiledProgram> CompiledFor(const mj::Program& program,
+                                                   const mj::ProgramIndex& index) {
+  return index.compiled_program_slot().Get<CompiledProgram>(
+      [&] { return Compile(program, index); });
+}
+
 }  // namespace wasabi::vm

@@ -188,6 +188,13 @@ struct CompiledProgram {
 std::shared_ptr<const CompiledProgram> Compile(const mj::Program& program,
                                                const mj::ProgramIndex& index);
 
+// The one compilation of `program` for `index`: Compile runs on the first
+// call per index (thread-safe; concurrent first callers wait for it) and every
+// later call returns the same shared CompiledProgram. `index` must be the
+// index of `program`.
+std::shared_ptr<const CompiledProgram> CompiledFor(const mj::Program& program,
+                                                   const mj::ProgramIndex& index);
+
 // "computed-goto" when the executor was built with labels-as-values threaded
 // dispatch (GCC/Clang), "switch" on the portable fallback. Recorded in bench
 // context and docs/PERFORMANCE.md.

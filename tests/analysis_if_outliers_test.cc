@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -131,6 +132,10 @@ struct RatioCase {
   int retried;
   int not_retried;
   bool expect_outlier;
+  // Explicit zeroed tail instead of implicit padding: gtest (and so ctest)
+  // names each case by a byte dump of the whole value, and implicit padding
+  // bytes are indeterminate, which made the case names change run to run.
+  std::uint8_t zero_padding[3] = {};
 };
 
 class RatioSweepTest : public ::testing::TestWithParam<RatioCase> {};

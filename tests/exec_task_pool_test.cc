@@ -1,5 +1,6 @@
 // Unit tests for the work-stealing TaskPool underneath the campaign executor:
-// exactly-once execution for every index, reuse of one pool across many jobs,
+// exactly-once execution for every index, reuse of one pool across many jobs
+// (including thousands of back-to-back tiny ones),
 // serial (1-worker) inline mode, exception propagation, and worker-count
 // resolution.
 
@@ -50,6 +51,29 @@ TEST(TaskPoolTest, PoolIsReusableAcrossJobs) {
     std::atomic<size_t> sum{0};
     pool.ParallelFor(100, [&](size_t i) { sum.fetch_add(i + 1); });
     EXPECT_EQ(sum.load(), 5050u) << "job " << job;
+  }
+}
+
+// Regression for the job-boundary race: a helper still inside RunJob for job
+// N (its PopOwn failed, its Steal not yet done) could store a stolen range
+// over the slot job N+1 had just installed, losing that chunk and hanging the
+// job. Thousands of back-to-back tiny jobs make the boundary the common case.
+TEST(TaskPoolTest, BackToBackTinyJobsRunEveryIndexExactlyOnce) {
+  constexpr int kJobs = 10000;
+  for (int workers : {2, 4, 8}) {
+    TaskPool pool(workers);
+    const size_t max_count = 2 * static_cast<size_t>(workers);
+    std::vector<std::atomic<int>> runs(max_count);
+    for (int job = 0; job < kJobs; ++job) {
+      const size_t count = 1 + static_cast<size_t>(job) % max_count;
+      for (size_t i = 0; i < count; ++i) {
+        runs[i].store(0);
+      }
+      pool.ParallelFor(count, [&](size_t i) { runs[i].fetch_add(1); });
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(runs[i].load(), 1) << workers << " workers, job " << job << ", index " << i;
+      }
+    }
   }
 }
 

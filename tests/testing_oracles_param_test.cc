@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -248,7 +249,14 @@ TEST(OracleBoundaries, RethrownSubclassOfTriggerCountsAsDifferentException) {
 // --- Timeout evidence names the specific abort reason. -----------------------
 
 struct AbortDetailCase {
+  AbortDetailCase(AbortReason r, const char* phrase) : reason(r), expected_phrase(phrase) {}
+
   AbortReason reason;
+  // Explicit zeroed bytes instead of implicit padding: gtest (and so ctest)
+  // names each case by a byte dump of the whole value, and implicit padding
+  // bytes are indeterminate, which made the case names change run to run.
+  // (The dump's tail still holds the phrase pointer, which ASLR moves.)
+  std::uint8_t zero_padding[7] = {};
   const char* expected_phrase;
 };
 

@@ -2,7 +2,8 @@
 // here runs under both engines and must agree on the returned value or the
 // thrown diagnostic (class + exact message), on step/loop/virtual-clock
 // accounting, and on the execution log — the same observational-identity
-// contract the golden suite enforces end-to-end.
+// contract the golden suite enforces end-to-end. The compile-once tests pin
+// that every interpreter on one ProgramIndex shares one CompiledProgram.
 //
 // This source is compiled twice: once as vm_engine_test against the library
 // build (computed-goto dispatch on GCC/Clang), and once as
@@ -12,12 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/interp/interpreter.h"
 #include "src/lang/diagnostics.h"
 #include "src/lang/parser.h"
+#include "src/testing/runner.h"
 #include "src/vm/bytecode.h"
 
 namespace wasabi {
@@ -457,6 +462,144 @@ TEST_F(VmEngineTest, LogicalOperatorsShortCircuitIdentically) {
     }
   )");
   EXPECT_EQ(AsIntOrDie(RunBoth("C.f")), 111);
+}
+
+// --- Compile once per ProgramIndex -----------------------------------------
+
+constexpr const char* kCompileOnceSource = R"(
+  class C {
+    int f() {
+      var acc = 0;
+      for (var i = 0; i < 4; i++) {
+        acc = acc + i;
+      }
+      return acc;
+    }
+  }
+)";
+
+InterpOptions EngineOptions(EngineKind engine) {
+  InterpOptions options;
+  options.engine = engine;
+  return options;
+}
+
+TEST_F(VmEngineTest, InterpretersAndArenasOnOneIndexShareOneCompiledProgram) {
+  Load(kCompileOnceSource);
+  const InterpOptions options = EngineOptions(EngineKind::kVm);
+  Interpreter first(program_, *index_, options);
+  Interpreter second(program_, *index_, options);
+  InterpreterArena arena_a;
+  InterpreterArena arena_b;
+  const vm::CompiledProgram* shared = first.compiled();
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(second.compiled(), shared);
+  EXPECT_EQ(arena_a.Acquire(program_, *index_, options).compiled(), shared);
+  EXPECT_EQ(arena_b.Acquire(program_, *index_, options).compiled(), shared);
+  EXPECT_EQ(vm::CompiledFor(program_, *index_).get(), shared);
+  // A fresh interpreter on the shared chunks still runs correctly.
+  EXPECT_EQ(std::get<int64_t>(second.Invoke("C.f")), 6);
+}
+
+TEST_F(VmEngineTest, SecondIndexCompilesItsOwnProgram) {
+  Load(kCompileOnceSource);
+  // Repair's shape: a separately parsed (patched) program with its own index.
+  mj::Program other;
+  mj::DiagnosticEngine diag;
+  other.AddUnit(mj::ParseSource("vm.mj", kCompileOnceSource, diag));
+  ASSERT_FALSE(diag.has_errors());
+  mj::ProgramIndex other_index(other);
+  const InterpOptions options = EngineOptions(EngineKind::kVm);
+  Interpreter mine(program_, *index_, options);
+  Interpreter theirs(other, other_index, options);
+  ASSERT_NE(mine.compiled(), nullptr);
+  ASSERT_NE(theirs.compiled(), nullptr);
+  EXPECT_NE(mine.compiled(), theirs.compiled());
+  EXPECT_EQ(vm::CompiledFor(other, other_index).get(), theirs.compiled());
+}
+
+TEST_F(VmEngineTest, ConcurrentFirstAcquisitionsShareOneCompilation) {
+  Load(kCompileOnceSource);
+  constexpr int kWorkers = 4;
+  const InterpOptions options = EngineOptions(EngineKind::kVm);
+  std::vector<InterpreterArena> arenas(kWorkers);
+  std::vector<const vm::CompiledProgram*> seen(kWorkers, nullptr);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      ready.fetch_add(1);
+      while (ready.load() < kWorkers) {
+        std::this_thread::yield();  // Start the first acquisitions together.
+      }
+      seen[w] = arenas[w].Acquire(program_, *index_, options).compiled();
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  ASSERT_NE(seen[0], nullptr);
+  for (const vm::CompiledProgram* compiled : seen) {
+    EXPECT_EQ(compiled, seen[0]);
+  }
+  // The slot is filled: a later reader gets the same program, never a build.
+  bool rebuilt = false;
+  std::shared_ptr<const vm::CompiledProgram> cached =
+      index_->compiled_program_slot().Get<vm::CompiledProgram>([&] {
+        rebuilt = true;
+        return std::shared_ptr<const vm::CompiledProgram>();
+      });
+  EXPECT_FALSE(rebuilt);
+  EXPECT_EQ(cached.get(), seen[0]);
+}
+
+TEST(OnceSlotTest, ConcurrentFirstReadersRunTheBuilderExactlyOnce) {
+  constexpr int kWorkers = 4;
+  mj::OnceSlot slot;
+  std::atomic<int> builds{0};
+  std::atomic<int> ready{0};
+  std::vector<const int*> seen(kWorkers, nullptr);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      ready.fetch_add(1);
+      while (ready.load() < kWorkers) {
+        std::this_thread::yield();
+      }
+      seen[w] = slot.Get<int>([&] {
+                      builds.fetch_add(1);
+                      return std::make_shared<const int>(42);
+                    }).get();
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  EXPECT_EQ(builds.load(), 1);
+  for (const int* value : seen) {
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(value, seen[0]);
+    EXPECT_EQ(*value, 42);
+  }
+}
+
+TEST_F(VmEngineTest, TreeEngineNeverCompiles) {
+  Load(kCompileOnceSource);
+  const InterpOptions options = EngineOptions(EngineKind::kTree);
+  Interpreter interp(program_, *index_, options);
+  InterpreterArena arena;
+  EXPECT_EQ(interp.compiled(), nullptr);
+  EXPECT_EQ(arena.Acquire(program_, *index_, options).compiled(), nullptr);
+  TestRunner runner(program_, *index_, RunnerOptions{options, {}, {}});
+  runner.RunTest(TestCase{"C.f"});
+  EXPECT_EQ(std::get<int64_t>(interp.Invoke("C.f")), 6);
+  // The index's slot is still empty: the first reader runs the builder.
+  bool built = false;
+  index_->compiled_program_slot().Get<vm::CompiledProgram>([&] {
+    built = true;
+    return std::shared_ptr<const vm::CompiledProgram>();
+  });
+  EXPECT_TRUE(built);
 }
 
 }  // namespace
