@@ -6,9 +6,8 @@
 // the determinism check: every rate must produce byte-identical output at 2
 // and 4 workers.
 //
-// The 0% row doubles as the overhead probe: with nothing failing, the robust
-// executor must cost roughly what the legacy executor costs (one extra
-// admission/reduce pass over the specs).
+// The 0% row doubles as the overhead probe: with nothing failing, containment
+// costs one admission/reduce pass over the specs on top of the runs.
 
 #include <chrono>
 #include <fstream>

@@ -187,7 +187,8 @@ void BM_CampaignRunsPerSecond(benchmark::State& state) {
   // End-to-end planned injection campaign over the corpus app, serial pool —
   // the runs/sec figure BENCH_interp.json reports (campaign throughput is the
   // quantity the §4.3 cost observation is about; the interpreter dominates
-  // it). Uses the same coverage → plan → expand path as the dynamic workflow.
+  // it). Uses the same coverage → plan → expand → execute path as the dynamic
+  // workflow, with default robustness options.
   const CorpusApp& app = SampleCorpusApp();
   RunnerOptions options;
   options.config_overrides = app.default_configs;
@@ -200,7 +201,8 @@ void BM_CampaignRunsPerSecond(benchmark::State& state) {
     locations.insert(locations.end(), structure.locations.begin(), structure.locations.end());
   }
   TaskPool pool(1);
-  CoverageMap coverage = MapCoverageParallel(runner, tests, locations, pool);
+  CoverageMap coverage =
+      MapCoverageRobust(runner, tests, locations, pool, RobustnessOptions{}).coverage;
   std::vector<PlanEntry> plan = PlanInjections(coverage, locations.size());
   std::vector<CampaignRunSpec> specs =
       ExpandPlan(plan, locations, {kInjectOnce, kInjectRepeatedly});
@@ -208,12 +210,13 @@ void BM_CampaignRunsPerSecond(benchmark::State& state) {
   int64_t runs = 0;
   int64_t steps = 0;
   for (auto _ : state) {
-    std::vector<CampaignRunResult> results = ExecuteCampaign(runner, locations, specs, pool);
-    runs += static_cast<int64_t>(results.size());
-    for (const CampaignRunResult& result : results) {
+    CampaignOutcome outcome =
+        ExecuteCampaignRobust(runner, locations, specs, pool, RobustnessOptions{});
+    runs += static_cast<int64_t>(outcome.results.size());
+    for (const CampaignRunResult& result : outcome.results) {
       steps += result.record.steps;
     }
-    benchmark::DoNotOptimize(results.size());
+    benchmark::DoNotOptimize(outcome.results.size());
   }
   state.SetItemsProcessed(runs);
   state.counters["campaign_runs_per_sec"] =

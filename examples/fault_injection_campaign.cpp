@@ -12,6 +12,8 @@
 #include "src/analysis/retry_finder.h"
 #include "src/core/wasabi.h"
 #include "src/corpus/corpus.h"
+#include "src/exec/campaign.h"
+#include "src/exec/task_pool.h"
 #include "src/inject/injector.h"
 #include "src/testing/config_restore.h"
 #include "src/testing/coverage.h"
@@ -55,7 +57,9 @@ int main(int argc, char** argv) {
   std::vector<TestCase> tests = runner.DiscoverTests();
 
   // Stage 3: coverage discovery (one clean run of the whole suite).
-  CoverageMap coverage = MapCoverage(runner, tests, locations);
+  TaskPool pool(1);
+  CoverageMap coverage =
+      MapCoverageRobust(runner, tests, locations, pool, RobustnessOptions{}).coverage;
   std::cout << "\n[3] coverage: " << coverage.size() << " of " << tests.size()
             << " unit tests reach at least one retry location\n";
 

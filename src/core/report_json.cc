@@ -1,43 +1,8 @@
 #include "src/core/report_json.h"
 
-#include <cstdio>
 #include <sstream>
 
 namespace wasabi {
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-        break;
-    }
-  }
-  return out;
-}
 
 std::string BugReportsToJson(const std::vector<BugReport>& bugs) {
   std::ostringstream out;

@@ -9,13 +9,10 @@
 #include <vector>
 
 #include "src/core/report.h"
+#include "src/obs/json.h"  // JsonEscape, re-exported for report emitters.
 #include "src/robust/failure.h"
 
 namespace wasabi {
-
-// Escapes a string for inclusion inside a JSON string literal (quotes,
-// backslashes, control characters).
-std::string JsonEscape(std::string_view text);
 
 // Renders bug reports as a JSON array of objects with keys:
 // type, technique, app, file, line, coordinator, exception, detail.

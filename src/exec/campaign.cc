@@ -26,108 +26,6 @@ std::vector<CampaignRunSpec> ExpandPlan(const std::vector<PlanEntry>& plan,
   return specs;
 }
 
-std::vector<CampaignRunResult> ExecuteCampaign(const TestRunner& runner,
-                                               const std::vector<RetryLocation>& locations,
-                                               const std::vector<CampaignRunSpec>& specs,
-                                               TaskPool& pool, const CampaignObs& obs) {
-  std::vector<CampaignRunResult> results(specs.size());
-  // One warm interpreter per worker, reused across that worker's runs
-  // (docs/PERFORMANCE.md). Each arena is touched by exactly one worker at a
-  // time, so no locking.
-  std::vector<InterpreterArena> arenas(static_cast<size_t>(pool.worker_count()));
-  pool.ParallelFor(specs.size(), [&](size_t i) {
-    const CampaignRunSpec& spec = specs[i];
-    const RetryLocation& location = locations[spec.location_index];
-    ScopedSpan span(obs.tracer, "run");
-    span.AddArg("run_id", static_cast<int64_t>(spec.id));
-    span.AddArg("test", spec.test.qualified_name);
-    span.AddArg("location", location.Key());
-    span.AddArg("k", static_cast<int64_t>(spec.k));
-    // Per-run injector: counts and log entries are private to this run; only
-    // the commutative metric counters land in the shared (locked) registry.
-    FaultInjector injector({InjectionPoint{location.retried_method, location.coordinator,
-                                           location.exception_name, spec.k}},
-                           obs.metrics);
-    CampaignRunResult& result = results[i];
-    result.id = spec.id;
-    result.location_index = spec.location_index;
-    result.k = spec.k;
-    result.record = runner.RunTest(spec.test, {&injector},
-                                   &arenas[static_cast<size_t>(TaskPool::CurrentWorker())]);
-    if (obs.progress != nullptr) {
-      obs.progress->Tick();
-    }
-  });
-  // Slot i already holds run id i, but sort anyway so the invariant "reducer
-  // output is id-ordered" survives any future scheduling change.
-  std::sort(results.begin(), results.end(),
-            [](const CampaignRunResult& a, const CampaignRunResult& b) { return a.id < b.id; });
-  // Per-run telemetry, aggregated at reduce time — serial, id-ordered, and
-  // therefore identical for every worker count.
-  if (obs.metrics != nullptr) {
-    obs.metrics->Increment("campaign.runs_total", static_cast<int64_t>(results.size()));
-    for (const CampaignRunResult& result : results) {
-      obs.metrics->Observe("runner.steps", static_cast<double>(result.record.steps));
-      obs.metrics->Observe("runner.loop_iterations",
-                           static_cast<double>(result.record.loop_iterations));
-      obs.metrics->Observe("runner.virtual_ms",
-                           static_cast<double>(result.record.virtual_duration_ms));
-    }
-  }
-  return results;
-}
-
-CoverageMap MapCoverageParallel(const TestRunner& runner, const std::vector<TestCase>& tests,
-                                const std::vector<RetryLocation>& locations, TaskPool& pool,
-                                const CampaignObs& obs) {
-  std::vector<std::vector<size_t>> hits(tests.size());
-  std::vector<InterpreterArena> arenas(static_cast<size_t>(pool.worker_count()));
-  pool.ParallelFor(tests.size(), [&](size_t i) {
-    ScopedSpan span(obs.tracer, "coverage.run");
-    span.AddArg("test", tests[i].qualified_name);
-    CoverageRecorder recorder(&locations);
-    runner.RunTest(tests[i], {&recorder},
-                   &arenas[static_cast<size_t>(TaskPool::CurrentWorker())]);
-    hits[i] = recorder.hits();
-    if (obs.progress != nullptr) {
-      obs.progress->Tick();
-    }
-  });
-  CoverageMap coverage;
-  // Cumulative coverage over runs (discovery order) is the §4.3 "how fast do
-  // tests reach new retry code" signal: a metrics series plus a Chrome
-  // counter track. Emitted at reduce time, so the values are deterministic
-  // even though the counter-track timestamps are reduce-side.
-  std::set<size_t> cumulative;
-  for (size_t i = 0; i < tests.size(); ++i) {
-    cumulative.insert(hits[i].begin(), hits[i].end());
-    if (obs.metrics != nullptr) {
-      obs.metrics->AppendSeries("coverage.cumulative_locations",
-                                static_cast<double>(cumulative.size()));
-    }
-    if (obs.tracer != nullptr) {
-      obs.tracer->Counter("coverage.cumulative_locations", "locations",
-                          static_cast<int64_t>(cumulative.size()));
-    }
-    if (!hits[i].empty()) {
-      coverage[tests[i].qualified_name] = std::move(hits[i]);
-    }
-  }
-  if (obs.metrics != nullptr) {
-    obs.metrics->Increment("coverage.runs_total", static_cast<int64_t>(tests.size()));
-    obs.metrics->SetGauge("coverage.locations_covered", static_cast<double>(cumulative.size()));
-  }
-  return coverage;
-}
-
-ExecutionLog MergeCampaignLogs(const std::vector<CampaignRunResult>& results) {
-  ExecutionLog merged;
-  for (const CampaignRunResult& result : results) {
-    merged.AppendAll(result.record.log);
-  }
-  return merged;
-}
-
 namespace {
 
 // Chaos identity for a coverage run: top bit set so the draw stream never
@@ -148,10 +46,6 @@ void ExportRobustMetrics(const CampaignObs& obs, const RobustnessStats& stats) {
   obs.metrics->Increment("robust.fail_fast_skipped_total", stats.fail_fast_skipped);
   obs.metrics->Increment("robust.backoff_virtual_ms", stats.backoff_virtual_ms);
 }
-
-}  // namespace
-
-namespace {
 
 // Forwards dispatch-cache resolutions into a run's decision stream. One
 // instance per in-flight attempt, owned by the worker lambda.
@@ -181,14 +75,6 @@ struct JournalLoopObserver : LoopObserver {
 };
 
 }  // namespace
-
-CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
-                                      const std::vector<RetryLocation>& locations,
-                                      const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
-                                      const RobustnessOptions& options, const CampaignObs& obs) {
-  return ExecuteCampaignRobust(runner, locations, specs, pool, options, obs, nullptr,
-                               nullptr);
-}
 
 CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
                                       const std::vector<RetryLocation>& locations,
@@ -442,8 +328,9 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
             [](const CampaignRunResult& a, const CampaignRunResult& b) { return a.id < b.id; });
   std::sort(outcome.quarantined.begin(), outcome.quarantined.end(),
             [](const RunFailure& a, const RunFailure& b) { return a.run_id < b.run_id; });
-  // Same reduce-time telemetry as ExecuteCampaign over the completed runs,
-  // plus the resilience counters.
+  // Per-run telemetry over the completed runs plus the resilience counters,
+  // aggregated at reduce time — serial, id-ordered, and therefore identical
+  // for every worker count.
   if (obs.metrics != nullptr) {
     obs.metrics->Increment("campaign.runs_total", static_cast<int64_t>(outcome.results.size()));
     for (const CampaignRunResult& result : outcome.results) {
@@ -567,7 +454,9 @@ CoverageOutcome ReduceCoverageOutcomes(const std::vector<TestCase>& tests,
     }
   }
 
-  // Identical reduce to MapCoverageParallel over the surviving runs.
+  // Cumulative coverage over runs (discovery order) is the §4.3 "how fast do
+  // tests reach new retry code" signal: a metrics series plus a Chrome
+  // counter track, emitted at reduce time so the values are deterministic.
   std::set<size_t> cumulative;
   for (size_t i = 0; i < tests.size(); ++i) {
     cumulative.insert(per_test[i].hits.begin(), per_test[i].hits.end());

@@ -67,42 +67,16 @@ std::vector<CampaignRunSpec> ExpandPlan(const std::vector<PlanEntry>& plan,
                                         const std::vector<RetryLocation>& locations,
                                         const std::vector<int>& k_values);
 
-// Executes every spec on the pool and returns the results sorted by run id.
-// With `obs` attached, every run gets a "run" span tagged
-// {run_id, test, location, k}, per-run step/loop-iteration/virtual-time
-// histograms and injection counters are fed to the registry, and the progress
-// meter ticks once per completed run.
-std::vector<CampaignRunResult> ExecuteCampaign(const TestRunner& runner,
-                                               const std::vector<RetryLocation>& locations,
-                                               const std::vector<CampaignRunSpec>& specs,
-                                               TaskPool& pool, const CampaignObs& obs = {});
-
-// The coverage-discovery pass (one clean run of every test, each with its own
-// CoverageRecorder) on the pool. Produces exactly the map the serial
-// MapCoverage produces: keyed and ordered by test name, empty runs omitted.
-// With `obs` attached, each test run gets a "coverage.run" span, and the
-// reduce emits cumulative-locations-covered over runs as both a metrics
-// series and a Chrome counter track.
-CoverageMap MapCoverageParallel(const TestRunner& runner, const std::vector<TestCase>& tests,
-                                const std::vector<RetryLocation>& locations, TaskPool& pool,
-                                const CampaignObs& obs = {});
-
-// Merges the per-run logs into one campaign-wide log, runs in id order and
-// entries in per-run append order — the deterministic reduce-time counterpart
-// of the old "one shared log" view, with no concurrent appends anywhere.
-ExecutionLog MergeCampaignLogs(const std::vector<CampaignRunResult>& results);
-
 // --- Fault-contained execution (docs/ROBUSTNESS.md) -------------------------
 //
-// The robust variants never let a host-level failure kill the campaign:
+// The campaign executor never lets a host-level failure kill the campaign:
 // a run whose task throws is retried per RobustnessOptions::retry (waves:
 // a parallel attempt wave, then a serial id-ordered reduce that classifies
 // failures, feeds the per-location circuit breaker, and decides retries —
 // so every resilience decision is independent of worker scheduling), and
 // quarantined with a structured RunFailure once attempts are exhausted, the
 // location's circuit is open, or fail-fast / the quarantine budget cut the
-// campaign short. With default options and no failures the completed results
-// are byte-identical to ExecuteCampaign's.
+// campaign short.
 
 struct CampaignOutcome {
   std::vector<CampaignRunResult> results;  // Completed runs only, id-ordered.
@@ -110,14 +84,14 @@ struct CampaignOutcome {
   RobustnessStats robustness;
 };
 
-CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
-                                      const std::vector<RetryLocation>& locations,
-                                      const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
-                                      const RobustnessOptions& options,
-                                      const CampaignObs& obs = {});
-
-// As above, with two extensions the flakiness prober and record/replay modes
-// need (docs/FLAKINESS.md):
+// Executes every spec on the pool. Completed results and quarantine records
+// come back sorted by run id. With `obs` attached, every attempt gets a "run"
+// span tagged {run_id, test, location, k}, injection counters and the
+// completed runs' step/loop-iteration/virtual-time histograms are fed to the
+// registry, and the progress meter ticks once per attempt that completes.
+//
+// Two optional extensions serve the flakiness prober and record/replay modes
+// (docs/FLAKINESS.md):
 //   * `arenas` — caller-owned per-worker arenas (size >= pool.worker_count()).
 //     Sharing them lets the prober reuse the campaign's warm interpreters.
 //     Null falls back to executor-local arenas.
@@ -130,9 +104,10 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
 CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
                                       const std::vector<RetryLocation>& locations,
                                       const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
-                                      const RobustnessOptions& options, const CampaignObs& obs,
-                                      std::vector<InterpreterArena>* arenas,
-                                      std::vector<RunRecorder>* recorders);
+                                      const RobustnessOptions& options,
+                                      const CampaignObs& obs = {},
+                                      std::vector<InterpreterArena>* arenas = nullptr,
+                                      std::vector<RunRecorder>* recorders = nullptr);
 
 // Fault-contained coverage discovery: a test whose coverage run keeps failing
 // at the host level is quarantined (location "<coverage>") and simply covers

@@ -1,8 +1,9 @@
 #include "src/obs/journal.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "src/obs/json.h"
 
 namespace wasabi {
 
@@ -20,42 +21,6 @@ struct CachedBuffer {
   void* buffer = nullptr;
 };
 thread_local std::vector<CachedBuffer> t_buffer_cache;
-
-// Local JSON string escaping, deliberately duplicated per obs source file so
-// the substrate stays dependency-free and linkable from every layer.
-std::string EscapeJson(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-        break;
-    }
-  }
-  return out;
-}
 
 constexpr JournalStream kAllStreams[] = {
     JournalStream::kCoverage,
@@ -238,10 +203,10 @@ class Scanner {
 void AppendEventJson(std::ostringstream& out, const JournalEvent& event) {
   out << "{\"stream\":\"" << JournalStreamName(event.stream) << "\",\"run\":" << event.run_id
       << ",\"seq\":" << event.seq << ",\"kind\":\"" << JournalEventKindName(event.kind)
-      << "\",\"test\":\"" << EscapeJson(event.test) << "\",\"location\":\""
-      << EscapeJson(event.location) << "\",\"k\":" << event.k << ",\"attempt\":" << event.attempt
+      << "\",\"test\":\"" << JsonEscape(event.test) << "\",\"location\":\""
+      << JsonEscape(event.location) << "\",\"k\":" << event.k << ",\"attempt\":" << event.attempt
       << ",\"t_ms\":" << event.t_ms << ",\"value\":" << event.value << ",\"detail\":\""
-      << EscapeJson(event.detail) << "\"}";
+      << JsonEscape(event.detail) << "\"}";
 }
 
 bool ParseEvent(Scanner& scan, JournalEvent* event, std::string* error) {
@@ -444,7 +409,7 @@ size_t RetryJournal::event_count() const {
 std::string RetryJournal::ToJson(std::string_view app) const {
   std::vector<JournalEvent> events = Collect();
   std::ostringstream out;
-  out << "{\n\"version\": \"" << kJournalVersion << "\",\n\"app\": \"" << EscapeJson(app)
+  out << "{\n\"version\": \"" << kJournalVersion << "\",\n\"app\": \"" << JsonEscape(app)
       << "\",\n\"event_count\": " << events.size() << ",\n\"events\": [";
   for (size_t i = 0; i < events.size(); ++i) {
     out << (i > 0 ? ",\n" : "\n");

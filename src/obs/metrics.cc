@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/obs/json.h"
+
 namespace wasabi {
 
 namespace {
@@ -37,42 +39,6 @@ double BucketUpperBound(size_t index) {
     bound *= 2.0;
   }
   return bound;
-}
-
-// See trace.cc for why this tiny escaper is duplicated rather than shared
-// with core/report_json: obs sits below every other layer.
-std::string EscapeJson(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-        break;
-    }
-  }
-  return out;
 }
 
 // JSON-safe number rendering: integral values print without a fraction,
@@ -217,19 +183,19 @@ std::string MetricsRegistry::ToJson() const {
   out << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : counters_) {
-    out << (first ? "" : ",") << "\n    \"" << EscapeJson(name) << "\": " << value;
+    out << (first ? "" : ",") << "\n    \"" << JsonEscape(name) << "\": " << value;
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges_) {
-    out << (first ? "" : ",") << "\n    \"" << EscapeJson(name) << "\": " << NumberJson(value);
+    out << (first ? "" : ",") << "\n    \"" << JsonEscape(name) << "\": " << NumberJson(value);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, histogram] : histograms_) {
-    out << (first ? "" : ",") << "\n    \"" << EscapeJson(name) << "\": {\"count\": "
+    out << (first ? "" : ",") << "\n    \"" << JsonEscape(name) << "\": {\"count\": "
         << histogram.count << ", \"sum\": " << NumberJson(histogram.sum)
         << ", \"min\": " << NumberJson(histogram.min)
         << ", \"max\": " << NumberJson(histogram.max) << ", \"mean\": "
@@ -251,7 +217,7 @@ std::string MetricsRegistry::ToJson() const {
   out << (first ? "" : "\n  ") << "},\n  \"series\": {";
   first = true;
   for (const auto& [name, values] : series_) {
-    out << (first ? "" : ",") << "\n    \"" << EscapeJson(name) << "\": [";
+    out << (first ? "" : ",") << "\n    \"" << JsonEscape(name) << "\": [";
     for (size_t i = 0; i < values.size(); ++i) {
       out << (i > 0 ? ", " : "") << NumberJson(values[i]);
     }

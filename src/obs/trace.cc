@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <sstream>
+
+#include "src/obs/json.h"
 
 namespace wasabi {
 
@@ -20,52 +21,15 @@ struct CachedBuffer {
 };
 thread_local std::vector<CachedBuffer> t_buffer_cache;
 
-// Local JSON string escaping. Deliberately duplicated from core/report_json
-// (20 lines) so the obs substrate stays dependency-free and linkable from
-// every layer, including the ones core itself depends on.
-std::string EscapeJson(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-        break;
-    }
-  }
-  return out;
-}
-
 void AppendArgsJson(std::ostringstream& out, const TraceEvent& event) {
   out << "\"args\":{";
   bool first = true;
   for (const auto& [key, value] : event.int_args) {
-    out << (first ? "" : ",") << "\"" << EscapeJson(key) << "\":" << value;
+    out << (first ? "" : ",") << "\"" << JsonEscape(key) << "\":" << value;
     first = false;
   }
   for (const auto& [key, value] : event.string_args) {
-    out << (first ? "" : ",") << "\"" << EscapeJson(key) << "\":\"" << EscapeJson(value) << "\"";
+    out << (first ? "" : ",") << "\"" << JsonEscape(key) << "\":\"" << JsonEscape(value) << "\"";
     first = false;
   }
   out << "}";
@@ -160,7 +124,7 @@ std::string Tracer::ToChromeJson() const {
   for (size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& event = events[i];
     out << (i > 0 ? ",\n" : "\n");
-    out << "{\"name\":\"" << EscapeJson(event.name) << "\",\"ph\":\"" << event.phase
+    out << "{\"name\":\"" << JsonEscape(event.name) << "\",\"ph\":\"" << event.phase
         << "\",\"pid\":1,\"tid\":" << event.tid << ",\"ts\":" << event.start_us;
     if (event.phase == 'X') {
       out << ",\"dur\":" << event.duration_us;

@@ -19,7 +19,8 @@ namespace wasabi {
 // Knobs for fault-contained campaign execution. The default-constructed value
 // is the "default-off" configuration: retry enabled for infrastructure
 // failures (invisible when nothing fails), breaker armed, no chaos — with no
-// failures anywhere the output is byte-identical to the legacy executor.
+// failures anywhere every run completes on its first attempt, exactly as a
+// plain serial RunTest loop would produce it.
 struct RobustnessOptions {
   RetryPolicy retry;
   // Consecutive infrastructure failures per location before its circuit

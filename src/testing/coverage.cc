@@ -1,7 +1,5 @@
 #include "src/testing/coverage.h"
 
-#include <unordered_set>
-
 namespace wasabi {
 
 CoverageRecorder::CoverageRecorder(const std::vector<RetryLocation>* locations)
@@ -23,20 +21,6 @@ void CoverageRecorder::OnCall(const CallEvent& event, Interpreter& /*interp*/) {
 void CoverageRecorder::Reset() {
   seen_.assign(locations_->size(), false);
   hits_.clear();
-}
-
-CoverageMap MapCoverage(const TestRunner& runner, const std::vector<TestCase>& tests,
-                        const std::vector<RetryLocation>& locations) {
-  CoverageMap coverage;
-  InterpreterArena arena;
-  for (const TestCase& test : tests) {
-    CoverageRecorder recorder(&locations);
-    runner.RunTest(test, {&recorder}, &arena);
-    if (!recorder.hits().empty()) {
-      coverage[test.qualified_name] = recorder.hits();
-    }
-  }
-  return coverage;
 }
 
 std::vector<PlanEntry> PlanInjections(const CoverageMap& coverage, size_t location_count) {

@@ -16,7 +16,6 @@
 
 #include "src/analysis/retry_model.h"
 #include "src/interp/interpreter.h"
-#include "src/testing/runner.h"
 
 namespace wasabi {
 
@@ -39,12 +38,9 @@ class CoverageRecorder : public CallInterceptor {
 };
 
 // test qualified name -> location indices covered (in first-hit order).
-// std::map keeps iteration deterministic.
+// std::map keeps iteration deterministic. The coverage pass that fills it is
+// MapCoverageRobust (src/exec/campaign.h).
 using CoverageMap = std::map<std::string, std::vector<size_t>>;
-
-// Runs every test once with a CoverageRecorder attached.
-CoverageMap MapCoverage(const TestRunner& runner, const std::vector<TestCase>& tests,
-                        const std::vector<RetryLocation>& locations);
 
 // One planned fault-injection experiment: inject at `location_index` while
 // running `test`.

@@ -1,16 +1,15 @@
 // Regression tests for execution-log isolation under the parallel campaign
 // executor. Every run owns its log (one Interpreter, one ExecutionLog); the
 // executor must never let records from concurrent runs interleave. The tests
-// drive real injected runs through ExecuteCampaign on a multi-worker pool,
-// many times, and check that
+// drive real injected runs through ExecuteCampaignRobust on a multi-worker
+// pool, many times, and check that
 //
 //   1. each result's log references ONLY that run's own injection point —
 //      a foreign callee/caller/exception in any record means logs bled
 //      between workers;
 //   2. every parallel run's log dump is byte-identical to the same spec run
-//      serially — interleaving or lost records cannot hide;
-//   3. the reduce-time merge (MergeCampaignLogs) is the id-ordered
-//      concatenation of the per-run logs, nothing more.
+//      by a plain serial TestRunner::RunTest loop with no pool and no arena —
+//      interleaving or lost records cannot hide.
 
 #include <memory>
 #include <string>
@@ -20,6 +19,7 @@
 
 #include "src/exec/campaign.h"
 #include "src/exec/task_pool.h"
+#include "src/inject/injector.h"
 #include "src/lang/diagnostics.h"
 #include "src/lang/parser.h"
 #include "src/testing/runner.h"
@@ -118,20 +118,26 @@ class ExecLogIsolationTest : public ::testing::Test {
 };
 
 TEST_F(ExecLogIsolationTest, ConcurrentRunsNeverInterleaveLogRecords) {
-  TaskPool serial_pool(1);
-  std::vector<CampaignRunResult> reference =
-      ExecuteCampaign(*runner_, locations_, specs_, serial_pool);
-  ASSERT_EQ(reference.size(), specs_.size());
+  // Reference: each spec run serially with a fresh interpreter and injector.
+  std::vector<std::string> reference;
+  for (const CampaignRunSpec& spec : specs_) {
+    const RetryLocation& location = locations_[spec.location_index];
+    FaultInjector injector({InjectionPoint{location.retried_method, location.coordinator,
+                                           location.exception_name, spec.k}});
+    reference.push_back(runner_->RunTest(spec.test, {&injector}).log.Dump());
+  }
 
   TaskPool pool(4);
   // Repeat to give the scheduler chances to interleave badly.
   for (int round = 0; round < 8; ++round) {
-    std::vector<CampaignRunResult> results =
-        ExecuteCampaign(*runner_, locations_, specs_, pool);
+    CampaignOutcome outcome =
+        ExecuteCampaignRobust(*runner_, locations_, specs_, pool, RobustnessOptions{});
+    ASSERT_TRUE(outcome.quarantined.empty());
+    const std::vector<CampaignRunResult>& results = outcome.results;
     ASSERT_EQ(results.size(), specs_.size());
     for (size_t i = 0; i < results.size(); ++i) {
       const CampaignRunResult& run = results[i];
-      EXPECT_EQ(run.id, reference[i].id);
+      EXPECT_EQ(run.id, specs_[i].id);
       const RetryLocation& own = locations_[run.location_index];
 
       // Runs whose test actually reaches the injected location must log the
@@ -156,26 +162,10 @@ TEST_F(ExecLogIsolationTest, ConcurrentRunsNeverInterleaveLogRecords) {
       }
 
       // (2) Byte-identical to the serial run of the same spec.
-      EXPECT_EQ(run.record.log.Dump(), reference[i].record.log.Dump())
+      EXPECT_EQ(run.record.log.Dump(), reference[i])
           << "run " << run.id << " round " << round;
     }
   }
-}
-
-TEST_F(ExecLogIsolationTest, MergedLogIsIdOrderedConcatenation) {
-  TaskPool pool(4);
-  std::vector<CampaignRunResult> results =
-      ExecuteCampaign(*runner_, locations_, specs_, pool);
-  ExecutionLog merged = MergeCampaignLogs(results);
-
-  std::string expected;
-  size_t total = 0;
-  for (const CampaignRunResult& run : results) {
-    expected += run.record.log.Dump();
-    total += run.record.log.size();
-  }
-  EXPECT_EQ(merged.size(), total);
-  EXPECT_EQ(merged.Dump(), expected);
 }
 
 }  // namespace

@@ -178,9 +178,11 @@ GoldenMap ComputeGoldens(const std::string& app_name,
   std::vector<CampaignRunSpec> specs =
       ExpandPlan(plan, serial.locations, {kInjectOnce, kInjectRepeatedly});
   TaskPool pool(1);
-  std::vector<CampaignRunResult> results = ExecuteCampaign(runner, serial.locations, specs, pool);
+  CampaignOutcome campaign =
+      ExecuteCampaignRobust(runner, serial.locations, specs, pool, RobustnessOptions{});
+  EXPECT_TRUE(campaign.quarantined.empty()) << app_name;
   std::ostringstream campaign_logs;
-  for (const CampaignRunResult& run : results) {
+  for (const CampaignRunResult& run : campaign.results) {
     campaign_logs << "run=" << run.id << " location=" << run.location_index << " k=" << run.k
                   << "\n";
     AppendRunRecord(campaign_logs, run.record);

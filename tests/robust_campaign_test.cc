@@ -1,9 +1,9 @@
-// Fault-containment tests for the robust campaign executor: parity with the
-// legacy executor when nothing fails, recovery of transient chaos faults,
-// exact quarantine of persistent ones, circuit-breaker short-circuiting,
-// fail-fast / quarantine-quota admission control, and — the core contract —
-// byte-identical outcomes for any worker count even while the chaos harness
-// is killing runs.
+// Fault-containment tests for the campaign executor: every run completes with
+// all resilience counters at zero when nothing fails, recovery of transient
+// chaos faults, exact quarantine of persistent ones, circuit-breaker
+// short-circuiting, fail-fast / quarantine-quota admission control, and — the
+// core contract — byte-identical outcomes for any worker count even while the
+// chaos harness is killing runs.
 
 #include <memory>
 #include <set>
@@ -150,30 +150,30 @@ class RobustCampaignTest : public ::testing::Test {
   std::vector<CampaignRunSpec> specs_;
 };
 
-TEST_F(RobustCampaignTest, ParityWithLegacyExecutorWhenNothingFails) {
-  TaskPool reference_pool(1);
-  std::vector<CampaignRunResult> reference =
-      ExecuteCampaign(*runner_, locations_, specs_, reference_pool);
-
-  for (int workers : {1, 4}) {
-    TaskPool pool(workers);
-    CampaignOutcome outcome =
-        ExecuteCampaignRobust(*runner_, locations_, specs_, pool, RobustnessOptions{});
-    EXPECT_TRUE(outcome.quarantined.empty());
-    ASSERT_EQ(outcome.results.size(), reference.size()) << workers << " workers";
-    for (size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(outcome.results[i].id, reference[i].id);
-      EXPECT_EQ(outcome.results[i].record.log.Dump(), reference[i].record.log.Dump())
-          << "run " << reference[i].id << " with " << workers << " workers";
-    }
-    const RobustnessStats& stats = outcome.robustness;
-    EXPECT_EQ(stats.retries, 0);
-    EXPECT_EQ(stats.recovered, 0);
-    EXPECT_EQ(stats.quarantined, 0);
-    EXPECT_EQ(stats.chaos_faults, 0);
-    EXPECT_EQ(stats.backoff_virtual_ms, 0);
-    EXPECT_FALSE(stats.aborted);
+TEST_F(RobustCampaignTest, DefaultOptionsCompleteEveryRunIdenticallyAtAnyWorkerCount) {
+  TaskPool serial(1);
+  const CampaignOutcome reference =
+      ExecuteCampaignRobust(*runner_, locations_, specs_, serial, RobustnessOptions{});
+  ASSERT_EQ(reference.results.size(), specs_.size());
+  for (size_t i = 0; i < reference.results.size(); ++i) {
+    EXPECT_EQ(reference.results[i].id, specs_[i].id);
   }
+  EXPECT_TRUE(reference.quarantined.empty());
+  const RobustnessStats& stats = reference.robustness;
+  EXPECT_EQ(stats.retries, 0);
+  EXPECT_EQ(stats.recovered, 0);
+  EXPECT_EQ(stats.quarantined, 0);
+  EXPECT_EQ(stats.chaos_faults, 0);
+  EXPECT_EQ(stats.breaker_open, 0);
+  EXPECT_EQ(stats.fail_fast_skipped, 0);
+  EXPECT_EQ(stats.backoff_virtual_ms, 0);
+  EXPECT_FALSE(stats.aborted);
+  EXPECT_TRUE(stats.open_locations.empty());
+
+  TaskPool pool(4);
+  EXPECT_EQ(Fingerprint(ExecuteCampaignRobust(*runner_, locations_, specs_, pool,
+                                              RobustnessOptions{})),
+            Fingerprint(reference));
 }
 
 TEST_F(RobustCampaignTest, TransientChaosIsRecoveredOrQuarantinedExactlyAsDrawn) {
@@ -209,8 +209,9 @@ TEST_F(RobustCampaignTest, TransientChaosIsRecoveredOrQuarantinedExactlyAsDrawn)
   ASSERT_GT(expect_faults, 0) << "seed must actually fault something";
 
   TaskPool reference_pool(1);
-  std::vector<CampaignRunResult> reference =
-      ExecuteCampaign(*runner_, locations_, specs_, reference_pool);
+  const CampaignOutcome reference =
+      ExecuteCampaignRobust(*runner_, locations_, specs_, reference_pool, RobustnessOptions{});
+  ASSERT_EQ(reference.results.size(), specs_.size());
 
   TaskPool pool(4);
   CampaignOutcome outcome = ExecuteCampaignRobust(*runner_, locations_, specs_, pool, options);
@@ -233,7 +234,8 @@ TEST_F(RobustCampaignTest, TransientChaosIsRecoveredOrQuarantinedExactlyAsDrawn)
   // campaign — chaos may delay a run, never change its execution.
   ASSERT_EQ(outcome.results.size(), specs_.size() - expect_quarantined.size());
   for (const CampaignRunResult& run : outcome.results) {
-    EXPECT_EQ(run.record.log.Dump(), reference[run.id].record.log.Dump()) << "run " << run.id;
+    EXPECT_EQ(run.record.log.Dump(), reference.results[run.id].record.log.Dump())
+        << "run " << run.id;
   }
 }
 
@@ -373,10 +375,20 @@ TEST_F(RobustCampaignTest, CoverageParityAndFullRateQuarantine) {
   std::vector<TestCase> tests = runner_->DiscoverTests();
   ASSERT_EQ(tests.size(), 3u);
 
-  TaskPool pool(4);
-  CoverageMap reference = MapCoverageParallel(*runner_, tests, locations_, pool);
+  // Reference: a plain serial loop, one fresh recorder per test, no pool and
+  // no arena — built here so it shares nothing with the executor under test.
+  CoverageMap reference;
+  for (const TestCase& test : tests) {
+    CoverageRecorder recorder(&locations_);
+    runner_->RunTest(test, {&recorder});
+    if (!recorder.hits().empty()) {
+      reference[test.qualified_name] = recorder.hits();
+    }
+  }
+  ASSERT_FALSE(reference.empty());
 
-  // Fault-free robust pass: exactly the legacy map, nothing quarantined.
+  // Fault-free pass at 4 workers: exactly the serial map, nothing quarantined.
+  TaskPool pool(4);
   CoverageOutcome clean =
       MapCoverageRobust(*runner_, tests, locations_, pool, RobustnessOptions{});
   EXPECT_EQ(clean.coverage, reference);

@@ -7,6 +7,8 @@
 #include <memory>
 #include <string>
 
+#include "src/exec/campaign.h"
+#include "src/exec/task_pool.h"
 #include "src/inject/injector.h"
 #include "src/lang/diagnostics.h"
 #include "src/lang/parser.h"
@@ -39,6 +41,14 @@ class PipelineTest : public ::testing::Test {
     location.exception_name = exception;
     location.file = "unit0.mj";
     return location;
+  }
+
+  // The production coverage pass over every discovered test.
+  CoverageMap CoverageOf(const std::vector<RetryLocation>& locations) {
+    TaskPool pool(1);
+    return MapCoverageRobust(*runner_, runner_->DiscoverTests(), locations, pool,
+                             RobustnessOptions{})
+        .coverage;
   }
 
   mj::Program program_;
@@ -417,7 +427,7 @@ TEST_F(PipelineTest, CoverageMapsTestsToLocations) {
       MakeLocation("Svc.a", "Svc.opA", "IOException"),
       MakeLocation("Svc.b", "Svc.opB", "IOException"),
   };
-  CoverageMap coverage = MapCoverage(*runner_, runner_->DiscoverTests(), locations);
+  CoverageMap coverage = CoverageOf(locations);
   ASSERT_EQ(coverage.size(), 3u);  // testNothing covers nothing.
   EXPECT_EQ(coverage["SvcTest.testA"], (std::vector<size_t>{0}));
   EXPECT_EQ(coverage["SvcTest.testB"], (std::vector<size_t>{1}));
@@ -430,7 +440,7 @@ TEST_F(PipelineTest, PlannerCoversEveryLocationExactlyOnce) {
       MakeLocation("Svc.a", "Svc.opA", "IOException"),
       MakeLocation("Svc.b", "Svc.opB", "IOException"),
   };
-  CoverageMap coverage = MapCoverage(*runner_, runner_->DiscoverTests(), locations);
+  CoverageMap coverage = CoverageOf(locations);
   std::vector<PlanEntry> plan = PlanInjections(coverage, locations.size());
   ASSERT_EQ(plan.size(), 2u);
   std::vector<bool> covered(2, false);
@@ -450,7 +460,7 @@ TEST_F(PipelineTest, PlannerPrefersDistinctTests) {
       MakeLocation("Svc.a", "Svc.opA", "IOException"),
       MakeLocation("Svc.b", "Svc.opB", "IOException"),
   };
-  CoverageMap coverage = MapCoverage(*runner_, runner_->DiscoverTests(), locations);
+  CoverageMap coverage = CoverageOf(locations);
   std::vector<PlanEntry> plan = PlanInjections(coverage, locations.size());
   // Two distinct tests should be used (round-robin pass gives each test one).
   EXPECT_NE(plan[0].test, plan[1].test);

@@ -68,7 +68,7 @@ endif()
 
 # Option validation: every bad value exits 2 with the usage line.
 set(bad_option_sets
-    "--jobs;0" "--jobs;-3" "--jobs;abc"
+    "--jobs;0" "--jobs;-3" "--jobs;abc" "--jobs;4294967297" "--jobs;2147483648"
     "--max-quarantined;-1" "--max-quarantined;x"
     "--chaos;banana" "--chaos;42:1.5" "--fail-fast=1")
 foreach(bad_args IN LISTS bad_option_sets)

@@ -55,6 +55,7 @@ endif()
 # (Entries are CMake lists so multi-token flags pass as separate argv words.)
 foreach(bad_args IN ITEMS
         "--repetitions;0" "--repetitions;-3" "--repetitions;x" "--repetitions"
+        "--repetitions;2147483648"
         "--record" "--record=" "--replay;-1" "--replay;x" "--replay;5")
   execute_process(COMMAND "${WASABI_CLI}" test "${app}" ${bad_args}
                   RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)

@@ -109,6 +109,7 @@
 // is used as the application name in reports.
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -186,6 +187,19 @@ struct CliOptions {
   bool repair_flag = false;    // A --repair-* flag was seen (command scoping).
 };
 
+// Parses a decimal integer in [1, INT_MAX]. strtoll saturates at LLONG_MAX,
+// so an out-of-range value fails the bound check instead of wrapping.
+bool ParsePositiveInt(const std::string& value, int* out) {
+  char* end = nullptr;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || end == value.c_str() || *end != '\0' || parsed < 1 ||
+      parsed > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
 // Strict flag parsing: every `--name=value` / `--name value` form must match
 // a known option, and value-taking options must actually get a value — a
 // typo like --trace-ot=t.json fails loudly instead of silently running an
@@ -233,12 +247,9 @@ bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
         Usage();
         return false;
       }
-      char* end = nullptr;
-      long jobs = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || jobs < 1) {
+      if (!ParsePositiveInt(value, &options->jobs)) {
         return fail("option --jobs needs a positive integer, got '" + value + "'");
       }
-      options->jobs = static_cast<int>(jobs);
     } else if (name == "--max-quarantined") {
       if (!take_value("--max-quarantined")) {
         Usage();
@@ -323,12 +334,9 @@ bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
         Usage();
         return false;
       }
-      char* end = nullptr;
-      long repetitions = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || repetitions < 1) {
+      if (!ParsePositiveInt(value, &options->repetitions)) {
         return fail("option --repetitions needs a positive integer, got '" + value + "'");
       }
-      options->repetitions = static_cast<int>(repetitions);
     } else if (name == "--record") {
       if (!take_value("--record")) {
         Usage();
@@ -354,12 +362,9 @@ bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
         Usage();
         return false;
       }
-      char* end = nullptr;
-      long scale = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || scale < 1) {
+      if (!ParsePositiveInt(value, &options->scale)) {
         return fail("option --scale needs a positive integer, got '" + value + "'");
       }
-      options->scale = static_cast<int>(scale);
     } else if (name == "--app") {
       if (!take_value("--app")) {
         Usage();
