@@ -444,6 +444,45 @@ std::string FirstDivergence(const RecordedRun& recorded, const RecordedRun& repl
   return "header fields differ";
 }
 
+// The injectable retry locations: every structure's locations in
+// identification order, deduplicated by key. `owners`, when given, receives
+// the index of the structure each location came from. The dynamic workflow
+// and ReplayRun share this so a replay resolves the recorded location from the
+// same list the campaign planned over.
+std::vector<RetryLocation> InjectableLocations(const IdentificationResult& identification,
+                                               std::vector<size_t>* owners = nullptr) {
+  std::unordered_set<std::string> seen;
+  std::vector<RetryLocation> locations;
+  for (size_t s = 0; s < identification.structures.size(); ++s) {
+    for (const RetryLocation& location : identification.structures[s].locations) {
+      if (seen.insert(location.Key()).second) {
+        locations.push_back(location);
+        if (owners != nullptr) {
+          owners->push_back(s);
+        }
+      }
+    }
+  }
+  return locations;
+}
+
+// Test preparation (§3.1.4): defaults + restoration of restricted configs.
+// `restored`, when given, receives the number of restrictions restored.
+RunnerOptions PrepareRunnerOptions(const mj::Program& program, const WasabiOptions& options,
+                                   size_t* restored = nullptr) {
+  RunnerOptions runner_options;
+  runner_options.interp = options.interp;
+  runner_options.config_overrides = options.default_configs;
+  if (options.restore_configs) {
+    ConfigRestorationResult restoration = ScanTestsForRetryRestrictions(program);
+    runner_options.frozen_keys = restoration.keys_to_freeze;
+    if (restored != nullptr) {
+      *restored = restoration.restrictions.size();
+    }
+  }
+  return runner_options;
+}
+
 }  // namespace
 
 Wasabi::Wasabi(const mj::Program& program, const mj::ProgramIndex& index, WasabiOptions options)
@@ -660,29 +699,14 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
   result.identification_seconds = seconds_since(phase_start);
   result.structures_identified = identification.structures.size();
 
-  // Collect the injectable retry locations (deduplicated across structures)
-  // and remember which structure each belongs to.
-  std::unordered_set<std::string> seen_locations;
+  // Collect the injectable retry locations and remember which structure each
+  // belongs to.
   std::vector<size_t> location_to_structure;
-  for (size_t s = 0; s < identification.structures.size(); ++s) {
-    for (const RetryLocation& location : identification.structures[s].locations) {
-      if (seen_locations.insert(location.Key()).second) {
-        result.locations.push_back(location);
-        location_to_structure.push_back(s);
-      }
-    }
-  }
+  result.locations = InjectableLocations(identification, &location_to_structure);
 
-  // Test preparation (§3.1.4): defaults + restoration of restricted configs.
-  RunnerOptions runner_options;
-  runner_options.interp = options_.interp;
-  runner_options.config_overrides = options_.default_configs;
-  if (options_.restore_configs) {
-    ConfigRestorationResult restoration = ScanTestsForRetryRestrictions(program_);
-    runner_options.frozen_keys = restoration.keys_to_freeze;
-    result.config_restrictions_restored = restoration.restrictions.size();
-  }
-  TestRunner runner(program_, index_, runner_options);
+  TestRunner runner(program_, index_,
+                    PrepareRunnerOptions(program_, options_,
+                                         &result.config_restrictions_restored));
 
   std::vector<TestCase> tests = runner.DiscoverTests();
   result.total_tests = tests.size();
@@ -1060,16 +1084,7 @@ ReplayOutcome Wasabi::ReplayRun(const std::string& record_dir, uint64_t run_id) 
 
   // Rebuild the injectable-location list exactly as the dynamic workflow does
   // (the identification memo makes this cheap after the recording run).
-  IdentificationResult identification = IdentifyRetryStructures();
-  std::unordered_set<std::string> seen_locations;
-  std::vector<RetryLocation> locations;
-  for (const RetryStructure& structure : identification.structures) {
-    for (const RetryLocation& location : structure.locations) {
-      if (seen_locations.insert(location.Key()).second) {
-        locations.push_back(location);
-      }
-    }
-  }
+  const std::vector<RetryLocation> locations = InjectableLocations(IdentifyRetryStructures());
   const RetryLocation* location = nullptr;
   for (const RetryLocation& candidate : locations) {
     if (candidate.Key() == outcome.recorded.location_key) {
@@ -1084,13 +1099,7 @@ ReplayOutcome Wasabi::ReplayRun(const std::string& record_dir, uint64_t run_id) 
     return outcome;
   }
 
-  RunnerOptions runner_options;
-  runner_options.interp = options_.interp;
-  runner_options.config_overrides = options_.default_configs;
-  if (options_.restore_configs) {
-    runner_options.frozen_keys = ScanTestsForRetryRestrictions(program_).keys_to_freeze;
-  }
-  TestRunner runner(program_, index_, runner_options);
+  TestRunner runner(program_, index_, PrepareRunnerOptions(program_, options_));
 
   // Re-execute the run's attempt schedule. Chaos draws, backoff draws, the
   // degraded-environment flag, and injector decisions are all pure functions

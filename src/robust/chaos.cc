@@ -1,5 +1,6 @@
 #include "src/robust/chaos.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace wasabi {
@@ -106,9 +107,11 @@ bool ParseChaosSpec(const std::string& spec, ChaosConfig* config, std::string* e
     rate_text = rate_text.substr(0, second);
     has_env = true;
   }
-  char* end = nullptr;
-  unsigned long long seed = std::strtoull(seed_text.c_str(), &end, 10);
-  if (end == seed_text.c_str() || *end != '\0') {
+  // Decimal digits only: strtoull alone would take a sign ("-1" wraps to
+  // 2^64-1) and saturate an overflowing seed at ULLONG_MAX.
+  errno = 0;
+  unsigned long long seed = std::strtoull(seed_text.c_str(), nullptr, 10);
+  if (seed_text.find_first_not_of("0123456789") != std::string::npos || errno == ERANGE) {
     if (error != nullptr) {
       *error = "seed must be a non-negative integer";
     }

@@ -73,8 +73,9 @@ void ChaosMaybeFault(const ChaosConfig& config, uint64_t identity, int attempt);
 bool ChaosDegradedEnvironment(const ChaosConfig& config, uint64_t identity);
 
 // Parses the CLI `--chaos SEED:RATE[:ENV_RATE]` spec (e.g. "42:0.1" or
-// "42:0:0.25"). Returns false and fills `error` on malformed input; RATE and
-// ENV_RATE must be in [0, 1].
+// "42:0:0.25"). Returns false and fills `error` on malformed input; SEED is
+// decimal digits only (no sign) and must fit in 64 bits; RATE and ENV_RATE
+// must be in [0, 1].
 bool ParseChaosSpec(const std::string& spec, ChaosConfig* config, std::string* error);
 
 }  // namespace wasabi

@@ -396,7 +396,8 @@ TEST(ChaosSpecTest, ParsesValidSeedRatePairs) {
 
 TEST(ChaosSpecTest, RejectsMalformedSpecs) {
   for (const char* bad : {"banana", "42", ":0.5", "42:", "x:0.5", "42:y",
-                          "42:1.5", "42:-0.1", "4 2:0.5"}) {
+                          "42:1.5", "42:-0.1", "4 2:0.5", "-1:0.5", "+7:0.5",
+                          "99999999999999999999:0.5"}) {
     ChaosConfig config;
     std::string error;
     EXPECT_FALSE(ParseChaosSpec(bad, &config, &error)) << bad;

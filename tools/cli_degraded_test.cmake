@@ -4,7 +4,9 @@
 #   2. a healthy tree stays byte-identical to the legacy array format;
 #   3. --chaos output is deterministic across worker counts;
 #   4. option validation: bad --jobs / --max-quarantined / --chaos values are
-#      rejected with exit code 2 and the usage line.
+#      rejected with exit code 2 and the usage line — including a --jobs
+#      above the fixed 1024 bound, an integer that overflows 64 bits, and a
+#      signed chaos seed.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 execute_process(COMMAND "${WASABI_CLI}" dump-corpus "${WORK_DIR}" RESULT_VARIABLE rc
@@ -70,7 +72,8 @@ endif()
 set(bad_option_sets
     "--jobs;0" "--jobs;-3" "--jobs;abc" "--jobs;4294967297" "--jobs;2147483648"
     "--max-quarantined;-1" "--max-quarantined;x"
-    "--chaos;banana" "--chaos;42:1.5" "--fail-fast=1")
+    "--chaos;banana" "--chaos;42:1.5" "--fail-fast=1"
+    "--jobs;1025" "--max-quarantined;99999999999999999999" "--chaos;-1:0.1")
 foreach(bad_args IN LISTS bad_option_sets)
   execute_process(COMMAND "${WASABI_CLI}" test "${app}" ${bad_args}
                   RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)

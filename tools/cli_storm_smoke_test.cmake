@@ -85,8 +85,10 @@ if(NOT short_run MATCHES "\"duration_ms\": 12000")
   message(FATAL_ERROR "explicit --storm-duration not echoed in the report")
 endif()
 
-# Strict flag parsing: every malformed --storm-* value, a --storm-* flag
-# without a storm context, and --app outside dump-corpus exit 2 with usage.
+# Strict flag parsing: every malformed --storm-* value (an overflowing seed
+# included), a --storm-* flag without a storm context, --app outside
+# dump-corpus, a flag on a command that does not take it, and any option to
+# study exit 2 with usage.
 foreach(bad_args IN ITEMS
         "storm;${app};--storm-seed;x" "storm;${app};--storm-seed;-1"
         "storm;${app};--storm-seed" "storm;${app};--storm-duration;0"
@@ -96,7 +98,10 @@ foreach(bad_args IN ITEMS
         "storm;${app};--storm-fault;1000:90000" "storm;${app};--storm-out="
         "storm;${app};--storm;extra" "dump-corpus;${WORK_DIR};--app;"
         "dump-corpus;${WORK_DIR};--storm" "test;${app};--storm-seed;7"
-        "test;${app};--app;stormlab")
+        "test;${app};--app;stormlab"
+        "storm;${app};--json;--storm-seed;99999999999999999999" "study;--bogus"
+        "repair;${app};--storm-out=${WORK_DIR}/f.json"
+        "static;${app};--repair-out=${WORK_DIR}/f.json")
   execute_process(COMMAND "${WASABI_CLI}" ${bad_args}
                   RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
   if(NOT rc EQUAL 2)
@@ -104,5 +109,15 @@ foreach(bad_args IN ITEMS
   endif()
   if(NOT err MATCHES "usage: wasabi")
     message(FATAL_ERROR "no usage line for '${bad_args}': ${err}")
+  endif()
+endforeach()
+
+# The scoping rules are checked after every flag is parsed, so --storm may
+# follow a --storm-* flag; repair shares the storm value flags.
+foreach(good_args IN ITEMS "test;${app};--storm-seed;7;--storm" "repair;${app};--storm-seed;7")
+  execute_process(COMMAND "${WASABI_CLI}" ${good_args}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "CLI rejected '${good_args}' (rc=${rc}): ${err}")
   endif()
 endforeach()

@@ -27,8 +27,9 @@
 // Options:
 //   --json                            machine-readable bug reports
 //   --jobs N                          worker threads for the injection
-//                                     campaign (default: all hardware
-//                                     threads; output is identical for any N)
+//                                     campaign, 1 <= N <= 1024 (default: all
+//                                     hardware threads; output is identical
+//                                     for any N)
 //   --trace-out=FILE                  write a Chrome trace-event JSON of the
 //                                     run (open in chrome://tracing/Perfetto)
 //   --metrics-out=FILE                write the metrics snapshot
@@ -54,7 +55,8 @@
 //                                     of runs at the host level (containment
 //                                     drill, docs/ROBUSTNESS.md); ENV_RATE of
 //                                     runs additionally execute in the seeded
-//                                     degraded-environment mode
+//                                     degraded-environment mode; SEED is
+//                                     decimal digits only, below 2^64
 //   --repetitions N                   flakiness prober: rerun each failing
 //                                     campaign verdict N times under clock
 //                                     perturbation and classify it {stable,
@@ -101,14 +103,16 @@
 // "degraded": true plus skipped_files/quarantined sections; exit stays 0).
 //
 // Instrumentation never touches stdout: reports are byte-identical with and
-// without --trace-out/--metrics-out/--progress. Unknown options and options
-// missing a required value are rejected with exit code 2.
+// without --trace-out/--metrics-out/--progress. Unknown options, options the
+// command does not take, missing values and out-of-range integers (none
+// saturates) are rejected with exit code 2.
 //
 // Directory layout convention: every *.mj file is part of the application;
 // classes whose names end in "Test" are unit tests. The directory's base name
 // is used as the application name in reports.
 
 #include <algorithm>
+#include <cerrno>
 #include <climits>
 #include <cstdlib>
 #include <filesystem>
@@ -117,6 +121,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cache/store.h"
@@ -141,23 +146,9 @@ namespace {
 
 using namespace wasabi;
 
-int Usage() {
-  std::cerr << "usage: wasabi <dump-corpus|identify|static|test|analyze|storm|repair|study>"
-               " [dir] [--json]"
-               " [--jobs N] [--trace-out=FILE] [--metrics-out=FILE]"
-               " [--metrics-format=json|openmetrics] [--journal-out=FILE]"
-               " [--report-out=FILE] [--progress]"
-               " [--engine=vm|tree]"
-               " [--fail-fast] [--max-quarantined N] [--chaos SEED:RATE[:ENV_RATE]]"
-               " [--cache-dir=DIR] [--scale N] [--app NAME] [--repetitions N] [--record DIR]"
-               " [--replay ID] [--storm] [--storm-seed N] [--storm-duration MS]"
-               " [--storm-fault START:END] [--storm-out=FILE] [--repair-out=FILE]\n"
-               "       wasabi report --journal=FILE --out=FILE [--metrics=FILE] [--trace=FILE]"
-               " [--repair=FILE]\n";
-  return 2;
-}
-
-// Parsed command-line options shared by the analysis commands.
+// Parsed command-line options. The analysis commands read all of them; the
+// report command reads only the five artifact paths, which name the files to
+// read (--journal/--metrics/--trace/--repair) and the HTML to write (--out).
 struct CliOptions {
   bool json = false;
   bool progress = false;
@@ -166,7 +157,6 @@ struct CliOptions {
   std::string metrics_out;
   std::string metrics_format = "json";  // "json" | "openmetrics".
   std::string engine = "vm";            // "vm" | "tree" (docs/PERFORMANCE.md).
-  bool metrics_format_set = false;      // For "--metrics-format without --metrics-out" errors.
   std::string journal_out;  // Empty = retry journal off.
   std::string report_out;   // Empty = no HTML report; non-empty implies journaling.
   bool fail_fast = false;
@@ -181,292 +171,255 @@ struct CliOptions {
   bool storm = false;      // --storm: output-neutral storm phase on test/analyze.
   StormOptions storm_options;  // Defaults unless --storm-* flags override.
   std::string storm_out;       // --storm-out: write the storm report JSON.
-  std::string storm_flag;      // First --storm-* value flag seen (validation).
-  bool storm_fault_set = false;
   std::string repair_out;      // --repair-out: write the repair report JSON.
-  bool repair_flag = false;    // A --repair-* flag was seen (command scoping).
 };
 
-// Parses a decimal integer in [1, INT_MAX]. strtoll saturates at LLONG_MAX,
-// so an out-of-range value fails the bound check instead of wrapping.
-bool ParsePositiveInt(const std::string& value, int* out) {
+// Subcommands, as bits of a flag's scope. `analyze` is an alias of `test`.
+enum Command : unsigned {
+  kDumpCorpus = 1, kIdentify = 2, kStatic = 4, kTest = 8, kStorm = 16, kRepair = 32, kStudy = 64,
+  kReport = 128
+};
+// The commands that take a directory argument before their flags.
+constexpr unsigned kAnalysis = kDumpCorpus | kIdentify | kStatic | kTest | kStorm | kRepair;
+
+unsigned CommandBit(std::string_view name) {
+  static const std::pair<std::string_view, unsigned> kCommands[] = {
+      {"dump-corpus", kDumpCorpus}, {"identify", kIdentify}, {"static", kStatic},
+      {"test", kTest},   {"analyze", kTest}, {"storm", kStorm}, {"repair", kRepair},
+      {"study", kStudy}, {"report", kReport}};
+  auto it = std::find_if(std::begin(kCommands), std::end(kCommands),
+                         [&](const auto& command) { return command.first == name; });
+  return it == std::end(kCommands) ? 0 : it->second;
+}
+
+// --jobs upper bound. Fixed rather than derived from the host, so the set of
+// accepted inputs is the same everywhere; far above any useful worker count.
+constexpr int64_t kMaxJobs = 1024;
+
+// What a flag's value must be: none (a switch), a decimal integer in
+// [lo, hi], any string, a non-empty string, one of the `|`-separated choices
+// after the usage fragment's '=', or whatever the row's own parser accepts.
+enum class Kind { kSwitch, kInt, kText, kPath, kChoice, kCustom };
+
+struct FlagValue {
+  std::string text;    // As given; empty for a switch.
+  int64_t number = 0;  // kInt: the range-checked integer.
+};
+
+// One row of the flag table: everything the parser, the scoping check and
+// the usage line know about a flag.
+struct Flag {
+  const char* name;
+  const char* usage = "";  // Usage-line fragment after the name.
+  Kind kind = Kind::kSwitch;
+  unsigned commands = kAnalysis;  // The Command bits that accept the flag.
+  bool required = false;          // Must be given (and is unbracketed in the usage).
+  int64_t lo = 0, hi = INT64_MAX;  // kInt: the accepted range.
+  void (*set)(CliOptions&, const FlagValue&) = nullptr;  // All kinds but kCustom.
+  // kCustom: parses and sets the value; returns an error, empty on success.
+  std::string (*parse)(const std::string&, CliOptions&) = nullptr;
+};
+
+// Reads a decimal integer in [lo, hi]. An overflowing value (ERANGE) is
+// rejected rather than saturated at LLONG_MAX.
+bool ReadInt(const std::string& text, int64_t lo, int64_t hi, int64_t* out) {
   char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || end == value.c_str() || *end != '\0' || parsed < 1 ||
-      parsed > INT_MAX) {
+  errno = 0;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || parsed < lo || parsed > hi) {
     return false;
   }
-  *out = static_cast<int>(parsed);
+  *out = parsed;
   return true;
 }
 
-// Strict flag parsing: every `--name=value` / `--name value` form must match
-// a known option, and value-taking options must actually get a value — a
-// typo like --trace-ot=t.json fails loudly instead of silently running an
-// uninstrumented campaign. Returns false after printing the usage line.
-bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
-  auto fail = [](const std::string& message) {
-    std::cerr << "error: " << message << "\n";
-    Usage();
-    return false;
+// --storm-fault START:END. Whether the window ends within --storm-duration
+// is a cross-flag rule (CheckFlagRules).
+std::string ParseStormFault(const std::string& text, CliOptions& cli) {
+  const size_t colon = text.find(':');
+  int64_t start = 0;
+  int64_t stop = 0;
+  if (colon == std::string::npos || !ReadInt(text.substr(0, colon), 0, INT64_MAX, &start) ||
+      !ReadInt(text.substr(colon + 1), 0, INT64_MAX, &stop) || stop <= start) {
+    return "expected START:END with 0 <= START < END";
+  }
+  cli.storm_options.fault_start_ms = start;
+  cli.storm_options.fault_end_ms = stop;
+  return "";
+}
+
+// The flag table, in usage-line order.
+const Flag kFlags[] = {
+    {.name = "--json", .set = [](CliOptions& c, const FlagValue&) { c.json = true; }},
+    {.name = "--jobs", .usage = " N", .kind = Kind::kInt, .lo = 1, .hi = kMaxJobs,
+     .set = [](CliOptions& c, const FlagValue& v) { c.jobs = static_cast<int>(v.number); }},
+    {.name = "--trace-out", .usage = "=FILE", .kind = Kind::kText,
+     .set = [](CliOptions& c, const FlagValue& v) { c.trace_out = v.text; }},
+    {.name = "--metrics-out", .usage = "=FILE", .kind = Kind::kText,
+     .set = [](CliOptions& c, const FlagValue& v) { c.metrics_out = v.text; }},
+    {.name = "--metrics-format", .usage = "=json|openmetrics", .kind = Kind::kChoice,
+     .set = [](CliOptions& c, const FlagValue& v) { c.metrics_format = v.text; }},
+    {.name = "--journal-out", .usage = "=FILE", .kind = Kind::kPath,
+     .set = [](CliOptions& c, const FlagValue& v) { c.journal_out = v.text; }},
+    {.name = "--report-out", .usage = "=FILE", .kind = Kind::kPath,
+     .set = [](CliOptions& c, const FlagValue& v) { c.report_out = v.text; }},
+    {.name = "--progress", .set = [](CliOptions& c, const FlagValue&) { c.progress = true; }},
+    {.name = "--engine", .usage = "=vm|tree", .kind = Kind::kChoice,
+     .set = [](CliOptions& c, const FlagValue& v) { c.engine = v.text; }},
+    {.name = "--fail-fast", .set = [](CliOptions& c, const FlagValue&) { c.fail_fast = true; }},
+    {.name = "--max-quarantined", .usage = " N", .kind = Kind::kInt,
+     .set = [](CliOptions& c, const FlagValue& v) { c.max_quarantined = v.number; }},
+    {.name = "--chaos", .usage = " SEED:RATE[:ENV_RATE]", .kind = Kind::kCustom,
+     .parse = [](const std::string& text, CliOptions& c) {
+       std::string error;
+       ParseChaosSpec(text, &c.chaos, &error);  // Fills `error` exactly when it fails.
+       return error;
+     }},
+    {.name = "--cache-dir", .usage = "=DIR", .kind = Kind::kPath,
+     .set = [](CliOptions& c, const FlagValue& v) { c.cache_dir = v.text; }},
+    {.name = "--scale", .usage = " N", .kind = Kind::kInt, .lo = 1, .hi = INT_MAX,
+     .set = [](CliOptions& c, const FlagValue& v) { c.scale = static_cast<int>(v.number); }},
+    {.name = "--app", .usage = " NAME", .kind = Kind::kPath, .commands = kDumpCorpus,
+     .set = [](CliOptions& c, const FlagValue& v) { c.corpus_app = v.text; }},
+    {.name = "--repetitions", .usage = " N", .kind = Kind::kInt, .lo = 1, .hi = INT_MAX,
+     .set = [](CliOptions& c, const FlagValue& v) { c.repetitions = static_cast<int>(v.number); }},
+    {.name = "--record", .usage = " DIR", .kind = Kind::kPath,
+     .set = [](CliOptions& c, const FlagValue& v) { c.record_dir = v.text; }},
+    // Acted on by test/analyze only; storm and repair accept and ignore it.
+    {.name = "--replay", .usage = " ID", .kind = Kind::kInt, .commands = kTest | kStorm | kRepair,
+     .set = [](CliOptions& c, const FlagValue& v) { c.replay_run_id = v.number; }},
+    {.name = "--storm", .commands = kTest,
+     .set = [](CliOptions& c, const FlagValue&) { c.storm = true; }},
+    // The --storm-* rows need --storm on test/analyze (CheckFlagRules).
+    {.name = "--storm-seed", .usage = " N", .kind = Kind::kInt,
+     .commands = kTest | kStorm | kRepair,
+     .set = [](CliOptions& c, const FlagValue& v) { c.storm_options.seed = v.number; }},
+    {.name = "--storm-duration", .usage = " MS", .kind = Kind::kInt,
+     .commands = kTest | kStorm | kRepair, .lo = 1,
+     .set = [](CliOptions& c, const FlagValue& v) { c.storm_options.duration_ms = v.number; }},
+    {.name = "--storm-fault", .usage = " START:END", .kind = Kind::kCustom,
+     .commands = kTest | kStorm | kRepair, .parse = ParseStormFault},
+    {.name = "--storm-out", .usage = "=FILE", .kind = Kind::kPath, .commands = kTest | kStorm,
+     .set = [](CliOptions& c, const FlagValue& v) { c.storm_out = v.text; }},
+    {.name = "--repair-out", .usage = "=FILE", .kind = Kind::kPath, .commands = kRepair,
+     .set = [](CliOptions& c, const FlagValue& v) { c.repair_out = v.text; }},
+    {.name = "--journal", .usage = "=FILE", .kind = Kind::kPath, .commands = kReport,
+     .required = true, .set = [](CliOptions& c, const FlagValue& v) { c.journal_out = v.text; }},
+    {.name = "--out", .usage = "=FILE", .kind = Kind::kPath, .commands = kReport,
+     .required = true, .set = [](CliOptions& c, const FlagValue& v) { c.report_out = v.text; }},
+    {.name = "--metrics", .usage = "=FILE", .kind = Kind::kPath, .commands = kReport,
+     .set = [](CliOptions& c, const FlagValue& v) { c.metrics_out = v.text; }},
+    {.name = "--trace", .usage = "=FILE", .kind = Kind::kPath, .commands = kReport,
+     .set = [](CliOptions& c, const FlagValue& v) { c.trace_out = v.text; }},
+    {.name = "--repair", .usage = "=FILE", .kind = Kind::kPath, .commands = kReport,
+     .set = [](CliOptions& c, const FlagValue& v) { c.repair_out = v.text; }},
+};
+
+const Flag* FindFlag(std::string_view name) {
+  auto it = std::find_if(std::begin(kFlags), std::end(kFlags),
+                         [&](const Flag& flag) { return name == flag.name; });
+  return it == std::end(kFlags) ? nullptr : it;
+}
+
+int Usage() {
+  auto fragments = [](unsigned commands) {
+    std::string text;
+    for (const Flag& flag : kFlags) {
+      if ((flag.commands & commands) != 0) {
+        text += std::string(flag.required ? " " : " [") + flag.name + flag.usage +
+                (flag.required ? "" : "]");
+      }
+    }
+    return text;
   };
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string name = arg;
-    std::string value;
-    bool has_value = false;
-    if (size_t eq = arg.find('='); arg.rfind("--", 0) == 0 && eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-      has_value = true;
+  std::cerr << "usage: wasabi <dump-corpus|identify|static|test|analyze|storm|repair|study>"
+               " [dir]"
+            << fragments(kAnalysis) << "\n       wasabi report" << fragments(kReport) << "\n";
+  return 2;
+}
+
+bool Fail(const std::string& message) {
+  std::cerr << "error: " << message << "\n";
+  Usage();
+  return false;
+}
+
+// Rules between flags, checked once every flag is parsed. `given` holds one
+// entry per kFlags row: whether the row appeared on the command line.
+bool CheckFlagRules(unsigned command, const CliOptions& cli, const std::vector<bool>& given) {
+  auto seen = [&](std::string_view name) { return given[FindFlag(name) - kFlags]; };
+  for (const Flag& flag : kFlags) {
+    if (flag.required && (flag.commands & command) != 0 && !seen(flag.name)) {
+      return Fail(std::string("missing required option ") + flag.name + flag.usage);
     }
-    auto take_value = [&](const char* flag) {
-      if (has_value) {
-        return true;
-      }
-      if (i + 1 < argc) {
-        value = argv[++i];
-        return true;
-      }
-      std::cerr << "error: option " << flag << " requires a value\n";
-      return false;
-    };
-    if (name == "--json" || name == "--progress" || name == "--fail-fast") {
-      if (has_value) {
-        return fail("option " + name + " does not take a value");
-      }
-      if (name == "--json") {
-        options->json = true;
-      } else if (name == "--progress") {
-        options->progress = true;
-      } else {
-        options->fail_fast = true;
-      }
-    } else if (name == "--jobs") {
-      if (!take_value("--jobs")) {
-        Usage();
-        return false;
-      }
-      if (!ParsePositiveInt(value, &options->jobs)) {
-        return fail("option --jobs needs a positive integer, got '" + value + "'");
-      }
-    } else if (name == "--max-quarantined") {
-      if (!take_value("--max-quarantined")) {
-        Usage();
-        return false;
-      }
-      char* end = nullptr;
-      long long limit = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || limit < 0) {
-        return fail("option --max-quarantined needs a non-negative integer, got '" + value +
-                    "'");
-      }
-      options->max_quarantined = static_cast<int64_t>(limit);
-    } else if (name == "--chaos") {
-      if (!take_value("--chaos")) {
-        Usage();
-        return false;
-      }
-      std::string error;
-      if (!ParseChaosSpec(value, &options->chaos, &error)) {
-        return fail("option --chaos needs SEED:RATE, got '" + value + "' (" + error + ")");
-      }
-    } else if (name == "--trace-out") {
-      if (!take_value("--trace-out")) {
-        Usage();
-        return false;
-      }
-      options->trace_out = value;
-    } else if (name == "--metrics-out") {
-      if (!take_value("--metrics-out")) {
-        Usage();
-        return false;
-      }
-      options->metrics_out = value;
-    } else if (name == "--metrics-format") {
-      if (!take_value("--metrics-format")) {
-        Usage();
-        return false;
-      }
-      if (value != "json" && value != "openmetrics") {
-        return fail("option --metrics-format must be json or openmetrics, got '" + value + "'");
-      }
-      options->metrics_format = value;
-      options->metrics_format_set = true;
-    } else if (name == "--engine") {
-      if (!take_value("--engine")) {
-        Usage();
-        return false;
-      }
-      if (value != "vm" && value != "tree") {
-        return fail("option --engine must be vm or tree, got '" + value + "'");
-      }
-      options->engine = value;
-    } else if (name == "--journal-out") {
-      if (!take_value("--journal-out")) {
-        Usage();
-        return false;
-      }
-      if (value.empty()) {
-        return fail("option --journal-out needs a non-empty path");
-      }
-      options->journal_out = value;
-    } else if (name == "--report-out") {
-      if (!take_value("--report-out")) {
-        Usage();
-        return false;
-      }
-      if (value.empty()) {
-        return fail("option --report-out needs a non-empty path");
-      }
-      options->report_out = value;
-    } else if (name == "--cache-dir") {
-      if (!take_value("--cache-dir")) {
-        Usage();
-        return false;
-      }
-      if (value.empty()) {
-        return fail("option --cache-dir needs a non-empty directory");
-      }
-      options->cache_dir = value;
-    } else if (name == "--repetitions") {
-      if (!take_value("--repetitions")) {
-        Usage();
-        return false;
-      }
-      if (!ParsePositiveInt(value, &options->repetitions)) {
-        return fail("option --repetitions needs a positive integer, got '" + value + "'");
-      }
-    } else if (name == "--record") {
-      if (!take_value("--record")) {
-        Usage();
-        return false;
-      }
-      if (value.empty()) {
-        return fail("option --record needs a non-empty directory");
-      }
-      options->record_dir = value;
-    } else if (name == "--replay") {
-      if (!take_value("--replay")) {
-        Usage();
-        return false;
-      }
-      char* end = nullptr;
-      long long run_id = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || run_id < 0) {
-        return fail("option --replay needs a non-negative run id, got '" + value + "'");
-      }
-      options->replay_run_id = static_cast<int64_t>(run_id);
-    } else if (name == "--scale") {
-      if (!take_value("--scale")) {
-        Usage();
-        return false;
-      }
-      if (!ParsePositiveInt(value, &options->scale)) {
-        return fail("option --scale needs a positive integer, got '" + value + "'");
-      }
-    } else if (name == "--app") {
-      if (!take_value("--app")) {
-        Usage();
-        return false;
-      }
-      if (value.empty()) {
-        return fail("option --app needs a non-empty corpus app name");
-      }
-      options->corpus_app = value;
-    } else if (name == "--storm") {
-      if (has_value) {
-        return fail("option --storm does not take a value");
-      }
-      options->storm = true;
-    } else if (name == "--storm-seed") {
-      if (!take_value("--storm-seed")) {
-        Usage();
-        return false;
-      }
-      char* end = nullptr;
-      long long seed = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || seed < 0) {
-        return fail("option --storm-seed needs a non-negative integer, got '" + value + "'");
-      }
-      options->storm_options.seed = static_cast<uint64_t>(seed);
-      options->storm_flag = "--storm-seed";
-    } else if (name == "--storm-duration") {
-      if (!take_value("--storm-duration")) {
-        Usage();
-        return false;
-      }
-      char* end = nullptr;
-      long long duration = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || duration < 1) {
-        return fail("option --storm-duration needs a positive integer of simulated ms, got '" +
-                    value + "'");
-      }
-      options->storm_options.duration_ms = static_cast<int64_t>(duration);
-      options->storm_flag = "--storm-duration";
-    } else if (name == "--storm-fault") {
-      if (!take_value("--storm-fault")) {
-        Usage();
-        return false;
-      }
-      size_t colon = value.find(':');
-      bool ok = colon != std::string::npos && colon > 0 && colon + 1 < value.size();
-      long long start = 0;
-      long long stop = 0;
-      if (ok) {
-        char* end = nullptr;
-        std::string head = value.substr(0, colon);
-        std::string tail = value.substr(colon + 1);
-        start = std::strtoll(head.c_str(), &end, 10);
-        ok = end != head.c_str() && *end == '\0' && start >= 0;
-        if (ok) {
-          stop = std::strtoll(tail.c_str(), &end, 10);
-          ok = end != tail.c_str() && *end == '\0' && stop > start;
-        }
-      }
-      if (!ok) {
-        return fail("option --storm-fault needs START:END with 0 <= START < END, got '" +
-                    value + "'");
-      }
-      options->storm_options.fault_start_ms = static_cast<int64_t>(start);
-      options->storm_options.fault_end_ms = static_cast<int64_t>(stop);
-      options->storm_fault_set = true;
-      options->storm_flag = "--storm-fault";
-    } else if (name == "--storm-out") {
-      if (!take_value("--storm-out")) {
-        Usage();
-        return false;
-      }
-      if (value.empty()) {
-        return fail("option --storm-out needs a non-empty path");
-      }
-      options->storm_out = value;
-      options->storm_flag = "--storm-out";
-    } else if (name == "--repair-out") {
-      if (!take_value("--repair-out")) {
-        Usage();
-        return false;
-      }
-      if (value.empty()) {
-        return fail("option --repair-out needs a non-empty path");
-      }
-      options->repair_out = value;
-      options->repair_flag = true;
-    } else {
-      return fail("unknown option '" + arg + "'");
+    if (command == kTest && !cli.storm && seen(flag.name) &&
+        std::string_view(flag.name).starts_with("--storm-")) {
+      return Fail(std::string("option ") + flag.name + " on test/analyze requires --storm");
     }
   }
-  if (options->metrics_format_set && options->metrics_out.empty()) {
-    return fail("option --metrics-format requires --metrics-out=FILE");
+  if (seen("--metrics-format") && cli.metrics_out.empty()) {
+    return Fail("option --metrics-format requires --metrics-out=FILE");
   }
-  if (options->storm_fault_set &&
-      options->storm_options.fault_end_ms > options->storm_options.duration_ms) {
-    return fail("option --storm-fault window must end within --storm-duration");
+  if (seen("--storm-fault") &&
+      cli.storm_options.fault_end_ms > cli.storm_options.duration_ms) {
+    return Fail("option --storm-fault window must end within --storm-duration");
+  }
+  if (seen("--replay") && command == kTest && !seen("--record")) {
+    return Fail("option --replay requires --record DIR (the record to replay from)");
+  }
+  if (seen("--app") && cli.scale != 1) {
+    return Fail("option --scale does not combine with --app");
   }
   return true;
 }
 
-struct ObsSinks;
+// The one flag parser. Every `--name=value` / `--name value` must match a
+// kFlags row that accepts `command`, and its value must be of the row's kind
+// — a typo like --trace-ot=t.json fails loudly instead of silently running an
+// uninstrumented campaign. Returns false after printing the usage line.
+bool ParseFlags(int argc, char** argv, int first, unsigned command, CliOptions* cli) {
+  std::vector<bool> given(std::size(kFlags));
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.starts_with("--") ? arg.find('=') : std::string::npos;
+    const std::string name = arg.substr(0, eq);
+    const Flag* flag = FindFlag(name);
+    if (flag == nullptr) {
+      return Fail("unknown option '" + arg + "'");
+    }
+    if ((flag->commands & command) == 0) {
+      return Fail("option " + name + " does not apply to the " + argv[1] + " command");
+    }
+    const bool is_switch = flag->kind == Kind::kSwitch;
+    if (is_switch ? eq != std::string::npos : eq == std::string::npos && i + 1 == argc) {
+      return Fail("option " + name + (is_switch ? " does not take a value" : " requires a value"));
+    }
+    FlagValue value;
+    if (!is_switch) {
+      value.text = eq != std::string::npos ? arg.substr(eq + 1) : argv[++i];
+    }
+    std::string error;
+    if (flag->kind == Kind::kInt && !ReadInt(value.text, flag->lo, flag->hi, &value.number)) {
+      error = "needs an integer in [" + std::to_string(flag->lo) + ", " +
+              std::to_string(flag->hi) + "]";
+    } else if (flag->kind == Kind::kPath && value.text.empty()) {
+      error = "needs a non-empty value";
+    } else if (flag->kind == Kind::kChoice &&
+               ("|" + std::string(flag->usage + 1) + "|").find("|" + value.text + "|") ==
+                   std::string::npos) {
+      error = std::string("must be one of ") + (flag->usage + 1);
+    } else if (flag->kind == Kind::kCustom) {
+      error = flag->parse(value.text, *cli);
+    } else {
+      flag->set(*cli, value);
+    }
+    if (!error.empty()) {
+      return Fail("option " + name + ": " + error + ", got '" + value.text + "'");
+    }
+    given[flag - kFlags] = true;
+  }
+  return CheckFlagRules(command, *cli, given);
+}
 
 bool WriteFileOrComplain(const std::string& path, const std::string& bytes, const char* what) {
   std::ofstream out(path, std::ios::binary);
@@ -606,10 +559,6 @@ int DumpCorpus(const fs::path& root, const CliOptions& cli) {
       std::cerr << "error: unknown corpus app '" << cli.corpus_app << "'\n";
       return Usage();
     }
-    if (cli.scale != 1) {
-      std::cerr << "error: option --scale does not combine with --app\n";
-      return Usage();
-    }
     WriteCorpusApp(root, BuildCorpusApp(cli.corpus_app));
     return 0;
   }
@@ -712,7 +661,6 @@ bool ExportObservability(const CliOptions& cli, const std::string& app, ObsSinks
 }
 
 int StaticWorkflow(const fs::path& root, const CliOptions& cli) {
-  bool json = cli.json;
   mj::Program program;
   std::vector<SkippedFile> skipped;
   if (!LoadProgram(root, program, &skipped)) {
@@ -731,7 +679,7 @@ int StaticWorkflow(const fs::path& root, const CliOptions& cli) {
   }
   ReportHealth health;
   health.skipped_files = skipped;
-  if (json) {
+  if (cli.json) {
     std::vector<BugReport> all = result.when_bugs;
     all.insert(all.end(), result.if_bugs.begin(), result.if_bugs.end());
     std::cout << AnalysisReportToJson(all, health);
@@ -987,58 +935,15 @@ int RepairCommand(const fs::path& root, const CliOptions& cli) {
 // --journal-out (plus optional --metrics/--trace artifacts from the same run)
 // and writes the self-contained HTML dashboard. No analysis is executed, so
 // the output is a pure function of the input files.
-int ReportCommand(int argc, char** argv) {
-  auto fail = [](const std::string& message) {
-    std::cerr << "error: " << message << "\n";
-    return Usage();
-  };
-  std::string journal_path;
-  std::string metrics_path;
-  std::string trace_path;
-  std::string repair_path;
-  std::string out_path;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string name = arg;
-    std::string value;
-    bool has_value = false;
-    if (size_t eq = arg.find('='); arg.rfind("--", 0) == 0 && eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-      has_value = true;
+int ReportCommand(const CliOptions& cli) {
+  // Reads `path` into `text`; an optional artifact left out reads as empty.
+  auto read = [](const std::string& path, const char* what, std::string* text) {
+    if (path.empty()) {
+      return true;
     }
-    if (!has_value) {
-      if (i + 1 >= argc) {
-        return fail("option " + name + " requires a value");
-      }
-      value = argv[++i];
-    }
-    if (value.empty()) {
-      return fail("option " + name + " needs a non-empty path");
-    }
-    if (name == "--journal") {
-      journal_path = value;
-    } else if (name == "--metrics") {
-      metrics_path = value;
-    } else if (name == "--trace") {
-      trace_path = value;
-    } else if (name == "--repair") {
-      repair_path = value;
-    } else if (name == "--out") {
-      out_path = value;
-    } else {
-      return fail("unknown option '" + arg + "'");
-    }
-  }
-  if (journal_path.empty()) {
-    return fail("report requires --journal=FILE");
-  }
-  if (out_path.empty()) {
-    return fail("report requires --out=FILE");
-  }
-  auto read_file = [](const std::string& path, std::string* text) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
+      std::cerr << "error: cannot read " << what << " " << path << "\n";
       return false;
     }
     std::ostringstream buffer;
@@ -1047,43 +952,30 @@ int ReportCommand(int argc, char** argv) {
     return true;
   };
   std::string journal_text;
-  if (!read_file(journal_path, &journal_text)) {
-    std::cerr << "error: cannot read journal " << journal_path << "\n";
+  std::string metrics_text;
+  std::string trace_text;
+  std::string repair_text;
+  if (!read(cli.journal_out, "journal", &journal_text) ||
+      !read(cli.metrics_out, "metrics", &metrics_text) ||
+      !read(cli.trace_out, "trace", &trace_text) ||
+      !read(cli.repair_out, "repair report", &repair_text)) {
     return 1;
   }
   std::vector<JournalEvent> events;
   std::string app;
   std::string parse_error;
   if (!RetryJournal::ParseJson(journal_text, &events, &app, &parse_error)) {
-    std::cerr << "error: malformed journal " << journal_path << ": " << parse_error << "\n";
-    return 1;
-  }
-  std::string metrics_text;
-  if (!metrics_path.empty() && !read_file(metrics_path, &metrics_text)) {
-    std::cerr << "error: cannot read metrics " << metrics_path << "\n";
-    return 1;
-  }
-  std::string trace_text;
-  if (!trace_path.empty() && !read_file(trace_path, &trace_text)) {
-    std::cerr << "error: cannot read trace " << trace_path << "\n";
-    return 1;
-  }
-  std::string repair_text;
-  if (!repair_path.empty() && !read_file(repair_path, &repair_text)) {
-    std::cerr << "error: cannot read repair report " << repair_path << "\n";
+    std::cerr << "error: malformed journal " << cli.journal_out << ": " << parse_error << "\n";
     return 1;
   }
   RetryStatsReport stats = ComputeRetryStats(events);
   std::string html =
       RenderHtmlReport(app, events, stats, metrics_text, trace_text, repair_text);
-  std::ofstream out(out_path, std::ios::binary);
-  out << html;
-  if (!out) {
-    std::cerr << "error: cannot write report to " << out_path << "\n";
+  if (!WriteFileOrComplain(cli.report_out, html, "report")) {
     return 1;
   }
   std::cout << "wrote retry report for " << app << " (" << events.size() << " events, "
-            << html.size() << " bytes) to " << out_path << "\n";
+            << html.size() << " bytes) to " << cli.report_out << "\n";
   return 0;
 }
 
@@ -1108,74 +1000,32 @@ int Study() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const unsigned command = argc < 2 ? 0 : CommandBit(argv[1]);
+  // The analysis commands take the corpus directory before their flags.
+  const int first = (command & kAnalysis) != 0 ? 3 : 2;
+  if (command == 0 || argc < first) {
     return Usage();
   }
-  std::string command = argv[1];
-  if (command == "study") {
-    return Study();
-  }
-  if (command == "report") {
-    // No corpus directory: report renders existing artifacts.
-    return ReportCommand(argc, argv);
-  }
-  if (argc < 3) {
-    return Usage();
-  }
-  fs::path root = argv[2];
   CliOptions cli;
-  if (!ParseOptions(argc, argv, 3, &cli)) {
+  if (!ParseFlags(argc, argv, first, command, &cli)) {
     return 2;
   }
-  if (!cli.storm_out.empty() && command != "storm" && !cli.storm) {
-    std::cerr << "error: option --storm-out requires the storm command or --storm\n";
-    return Usage();
+  switch (command) {
+    case kStudy:
+      return Study();
+    case kReport:
+      return ReportCommand(cli);  // No corpus directory: renders existing artifacts.
+    case kDumpCorpus:
+      return DumpCorpus(argv[2], cli);
+    case kIdentify:
+      return Identify(argv[2], cli);
+    case kStatic:
+      return StaticWorkflow(argv[2], cli);
+    case kStorm:
+      return StormCommand(argv[2], cli);
+    case kRepair:
+      return RepairCommand(argv[2], cli);
+    default:
+      return cli.replay_run_id >= 0 ? Replay(argv[2], cli) : DynamicWorkflow(argv[2], cli);
   }
-  if (!cli.storm_flag.empty() && command != "storm" && command != "repair" && !cli.storm) {
-    std::cerr << "error: option " << cli.storm_flag
-              << " requires the storm or repair command, or --storm\n";
-    return Usage();
-  }
-  if (cli.repair_flag && command != "repair") {
-    std::cerr << "error: option --repair-out only applies to the repair command\n";
-    return Usage();
-  }
-  if (cli.storm && command != "test" && command != "analyze") {
-    std::cerr << "error: option --storm only applies to the test/analyze command\n";
-    return Usage();
-  }
-  if (!cli.corpus_app.empty() && command != "dump-corpus") {
-    std::cerr << "error: option --app only applies to the dump-corpus command\n";
-    return Usage();
-  }
-  if (command == "storm") {
-    return StormCommand(root, cli);
-  }
-  if (command == "repair") {
-    return RepairCommand(root, cli);
-  }
-  if (cli.replay_run_id >= 0) {
-    if (cli.record_dir.empty()) {
-      std::cerr << "error: option --replay requires --record DIR (the record to replay from)\n";
-      return Usage();
-    }
-    if (command != "test" && command != "analyze") {
-      std::cerr << "error: option --replay only applies to the test/analyze command\n";
-      return Usage();
-    }
-    return Replay(root, cli);
-  }
-  if (command == "dump-corpus") {
-    return DumpCorpus(root, cli);
-  }
-  if (command == "identify") {
-    return Identify(root, cli);
-  }
-  if (command == "static") {
-    return StaticWorkflow(root, cli);
-  }
-  if (command == "test" || command == "analyze") {
-    return DynamicWorkflow(root, cli);
-  }
-  return Usage();
 }
