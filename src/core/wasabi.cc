@@ -28,9 +28,8 @@ bool IsTestPath(const std::string& file) {
 
 // Copies the pool's cumulative counters (coverage pass + injection campaign)
 // into the registry, with a derived utilization gauge: busy time across all
-// workers over `wall_seconds * workers`. Low utilization with high queue-wait
-// means starved workers; low utilization with empty queue-wait means the wall
-// clock went to serial phases.
+// workers over `wall_seconds * workers`. Low utilization means the wall clock
+// went to serial phases or to a tail of long runs too few to share out.
 void ExportPoolMetrics(MetricsRegistry& metrics, const TaskPool& pool, int workers,
                        double wall_seconds) {
   TaskPoolStats stats = pool.Stats();
@@ -41,9 +40,6 @@ void ExportPoolMetrics(MetricsRegistry& metrics, const TaskPool& pool, int worke
     metrics.Increment(prefix + ".tasks", static_cast<int64_t>(worker.tasks));
     metrics.Increment(prefix + ".steals", static_cast<int64_t>(worker.steals));
     metrics.Increment(prefix + ".busy_us", worker.busy_us);
-    for (int64_t wait_us : worker.queue_wait_us) {
-      metrics.Observe("pool.queue_wait_us", static_cast<double>(wait_us));
-    }
   }
   metrics.Increment("pool.tasks_total", static_cast<int64_t>(stats.total_tasks()));
   metrics.Increment("pool.steals_total", static_cast<int64_t>(stats.total_steals()));

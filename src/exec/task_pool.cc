@@ -1,13 +1,14 @@
 #include "src/exec/task_pool.h"
 
 #include <cassert>
+#include <chrono>
 #include <stdexcept>
 
 namespace wasabi {
 
 namespace {
-// Written at task-execution entry points (RunJob, the serial fast path), read
-// by task bodies that key per-worker state (e.g. interpreter arenas).
+// Set around every task call (RunTask), read by task bodies that key
+// per-worker state (e.g. interpreter arenas).
 thread_local int current_worker = 0;
 }  // namespace
 
@@ -110,53 +111,49 @@ bool TaskPool::Steal(int worker, size_t* index) {
   return false;
 }
 
-void TaskPool::RunJob(int worker) {
+// Executes fn(index) as `worker`, restoring the thread's previous worker index
+// afterwards: a task may itself run a nested pool's job on this thread, and
+// the enclosing task's next CurrentWorker() must still name its own worker.
+void TaskPool::RunTask(int worker, const std::function<void(size_t)>& fn, size_t index,
+                       std::exception_ptr* error) {
   using Clock = std::chrono::steady_clock;
-  current_worker = worker;
   WorkerCounters& counters = counters_[static_cast<size_t>(worker)];
-  // Counter writes are ordered before this worker's next job_pending_
-  // fetch_sub (release), and ParallelFor returns only after job_pending_
-  // reads 0 (acquire), so a post-join Stats() read races with nothing. The
-  // one write NOT followed by a fetch_sub — the trailing idle stretch after a
-  // worker's last task — is deliberately never recorded (see below).
-  bool idle = false;
-  Clock::time_point idle_since;
-  while (job_pending_.load(std::memory_order_acquire) > 0) {
-    size_t index;
-    bool own = PopOwn(worker, &index);
-    bool stolen = !own && Steal(worker, &index);
-    if (own || stolen) {
-      if (idle) {
-        // A stretch that ended in work is a queue wait; trailing idle while
-        // the job drains is not (and recording it would race with the join).
-        counters.queue_wait_us.push_back(
-            std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - idle_since)
-                .count());
-        idle = false;
-      }
-      if (stolen) {
-        ++counters.steals;
-      }
-      Clock::time_point task_start = Clock::now();
-      try {
-        (*job_fn_)(index);
-      } catch (...) {
-        // Keep the failure's identity: index `index` ran exactly once, so
-        // this slot write races with nothing.
-        (*job_errors_)[index] = std::current_exception();
-      }
-      counters.busy_us +=
-          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - task_start)
-              .count();
-      ++counters.tasks;
-      job_pending_.fetch_sub(1, std::memory_order_acq_rel);
-    } else {
-      if (!idle) {
-        idle = true;
-        idle_since = Clock::now();
-      }
-      std::this_thread::yield();
+  const int outer_worker = current_worker;
+  current_worker = worker;
+  Clock::time_point task_start = Clock::now();
+  try {
+    fn(index);
+  } catch (...) {
+    // Keep the failure's identity: index `index` runs exactly once, so this
+    // slot write races with nothing.
+    *error = std::current_exception();
+  }
+  counters.busy_us +=
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - task_start).count();
+  ++counters.tasks;
+  current_worker = outer_worker;
+}
+
+// Runs tasks until PopOwn and Steal both fail, then leaves at once. With every
+// slot empty, the only unfinished indices are ones already executing or the
+// range a thief has taken off its victim but not yet installed in its own
+// slot — and that thief runs the range itself before it leaves. So leaving on
+// empty never strands work, and an idle worker never spins.
+//
+// Counter writes happen before a helper's job_helpers_active_ fetch_sub
+// (release), and ParallelForCaptured returns only after reading 0 (acquire),
+// so a post-join Stats() read races with nothing.
+void TaskPool::RunJob(int worker) {
+  size_t index;
+  while (true) {
+    const bool own = PopOwn(worker, &index);
+    if (!own && !Steal(worker, &index)) {
+      return;
     }
+    if (!own) {
+      ++counters_[static_cast<size_t>(worker)].steals;
+    }
+    RunTask(worker, *job_fn_, index, &(*job_errors_)[index]);
   }
 }
 
@@ -172,7 +169,10 @@ void TaskPool::WorkLoop(int worker) {
       seen_generation = job_generation_;
     }
     RunJob(worker);
-    job_helpers_active_.fetch_sub(1, std::memory_order_release);
+    // The last helper out wakes the caller blocked in ParallelForCaptured.
+    if (job_helpers_active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      job_helpers_active_.notify_one();
+    }
   }
 }
 
@@ -196,20 +196,8 @@ std::vector<std::exception_ptr> TaskPool::ParallelForCaptured(
   if (worker_count_ == 1) {
     // Strictly serial on the calling thread; no scheduling at all. Counters
     // are still maintained so --jobs 1 metrics stay meaningful.
-    using Clock = std::chrono::steady_clock;
-    current_worker = 0;
-    WorkerCounters& counters = counters_[0];
     for (size_t i = 0; i < count; ++i) {
-      Clock::time_point task_start = Clock::now();
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-      counters.busy_us +=
-          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - task_start)
-              .count();
-      ++counters.tasks;
+      RunTask(0, fn, i, &errors[i]);
     }
     return errors;
   }
@@ -218,7 +206,6 @@ std::vector<std::exception_ptr> TaskPool::ParallelForCaptured(
     std::lock_guard<std::mutex> lock(mutex_);
     job_fn_ = &fn;
     job_errors_ = &errors;
-    job_pending_.store(count, std::memory_order_release);
     job_helpers_active_.store(worker_count_ - 1, std::memory_order_relaxed);
     // One contiguous chunk per worker; the imbalance is what stealing fixes.
     size_t base = count / static_cast<size_t>(worker_count_);
@@ -234,10 +221,12 @@ std::vector<std::exception_ptr> TaskPool::ParallelForCaptured(
     ++job_generation_;
   }
   job_cv_.notify_all();
-  RunJob(0);  // The caller is worker 0; returns once every index completed.
-  // Every index is done; wait for the helpers too (see job_helpers_active_).
-  while (job_helpers_active_.load(std::memory_order_acquire) > 0) {
-    std::this_thread::yield();
+  RunJob(0);  // The caller is worker 0; returns once no slot holds work.
+  // Block until every helper has left RunJob: only then has every index run
+  // (see job_helpers_active_).
+  for (int active = job_helpers_active_.load(std::memory_order_acquire); active > 0;
+       active = job_helpers_active_.load(std::memory_order_acquire)) {
+    job_helpers_active_.wait(active, std::memory_order_acquire);
   }
   return errors;
 }
@@ -250,7 +239,6 @@ TaskPoolStats TaskPool::Stats() const {
     worker.tasks = counters.tasks;
     worker.steals = counters.steals;
     worker.busy_us = counters.busy_us;
-    worker.queue_wait_us = counters.queue_wait_us;
     stats.workers.push_back(std::move(worker));
   }
   return stats;
@@ -261,7 +249,6 @@ void TaskPool::ResetStats() {
     counters.tasks = 0;
     counters.steals = 0;
     counters.busy_us = 0;
-    counters.queue_wait_us.clear();
   }
 }
 

@@ -5,7 +5,10 @@
 // dry it steals the back half of the largest-looking victim chunk. Ranges are
 // packed {next, end} in a single 64-bit atomic so both pop and steal are one
 // CAS — no locks on the hot path, and chunks stay contiguous, which keeps the
-// per-run interpreter allocations cache-friendly.
+// per-run interpreter allocations cache-friendly. A worker that finds every
+// chunk empty leaves the job at once and blocks — a helper on a condition
+// variable until the next job, the caller on an atomic wait until the last
+// helper is out — so no idle worker spins.
 //
 // The calling thread participates as worker 0, so TaskPool(1) never spawns a
 // thread and executes strictly serially on the caller — the property the
@@ -15,7 +18,6 @@
 #define WASABI_SRC_EXEC_TASK_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -31,17 +33,13 @@ namespace wasabi {
 int DefaultJobCount();
 
 // Cumulative per-worker execution counters, kept since construction (or the
-// last ResetStats). Cheap enough to stay always-on: two clock reads per task
-// and per idle stretch, against tasks that each run a whole interpreted test.
+// last ResetStats). Cheap enough to stay always-on: two clock reads per task,
+// against tasks that each run a whole interpreted test.
 struct TaskPoolStats {
   struct Worker {
     uint64_t tasks = 0;   // Indices this worker executed.
     uint64_t steals = 0;  // Successful steals (tasks acquired from a victim).
     int64_t busy_us = 0;  // Time spent inside the task function.
-    // One sample per contiguous stretch this worker spent looking for work
-    // before acquiring a task — the queue-wait signal that separates "serial
-    // phase" from "starved workers".
-    std::vector<int64_t> queue_wait_us;
   };
   std::vector<Worker> workers;
 
@@ -63,8 +61,9 @@ class TaskPool {
 
   // Index of the pool worker executing the current task, valid inside a fn
   // passed to ParallelFor/ParallelForCaptured (the calling thread is worker 0).
-  // Outside a task it returns the last index this thread ran as, or 0 on a
-  // thread that never executed a task — callers use it only from inside tasks.
+  // Each task call saves and restores it, so after a nested pool's job run on
+  // this thread the enclosing task reads its own index again. Outside any
+  // task it returns 0 — callers use it only from inside tasks.
   static int CurrentWorker();
 
   // Runs fn(index) for every index in [0, count), distributed over the
@@ -103,7 +102,6 @@ class TaskPool {
     uint64_t tasks = 0;
     uint64_t steals = 0;
     int64_t busy_us = 0;
-    std::vector<int64_t> queue_wait_us;
   };
 
   static uint64_t Pack(uint32_t next, uint32_t end) {
@@ -116,6 +114,8 @@ class TaskPool {
   // Steals the back half of some victim's remaining range into `worker`'s own
   // slot and pops from it. False when every slot is empty.
   bool Steal(int worker, size_t* index);
+  void RunTask(int worker, const std::function<void(size_t)>& fn, size_t index,
+               std::exception_ptr* error);
   void RunJob(int worker);
   void WorkLoop(int worker);
 
@@ -128,12 +128,14 @@ class TaskPool {
   std::condition_variable job_cv_;
   const std::function<void(size_t)>* job_fn_ = nullptr;
   uint64_t job_generation_ = 0;
-  std::atomic<size_t> job_pending_{0};  // Indices not yet fully executed.
   // Helper workers (all but the caller) not yet out of RunJob for the current
   // job. Set to worker_count_ - 1 when a job is installed; each helper
-  // decrements it on leaving RunJob, and ParallelForCaptured returns only at
-  // 0. So no helper can still be inside RunJob — e.g. mid-Steal, about to
-  // store into its own slot — when the next job installs its ranges.
+  // decrements it on leaving RunJob (the last one notifies), and
+  // ParallelForCaptured blocks until it reads 0. That is both the job's join
+  // — a helper leaves only once no slot holds work and its own tasks are done
+  // — and the boundary guard: no helper can still be inside RunJob (e.g.
+  // mid-Steal, about to store into its own slot) when the next job installs
+  // its ranges.
   std::atomic<int> job_helpers_active_{0};
   // Per-index exception slots for the running job. Each worker writes only
   // the slots of indices it executed (exactly once each), so no two threads

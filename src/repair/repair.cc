@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/report_json.h"
+#include "src/exec/task_pool.h"
 #include "src/inject/injector.h"
 #include "src/lang/parser.h"
 #include "src/lang/rewrite.h"
@@ -107,7 +108,10 @@ PipelineRun RunPipelineOnce(const mj::Program& program, const mj::ProgramIndex& 
 // its observability sinks or record directory: those describe the repair run
 // itself, not the nested what-if campaigns. The cache pointer is kept — the
 // whole point is that validation re-runs only the digest-invalidated slice.
+// Each validation runs on one worker: the validations themselves are the
+// parallel tasks (RunRepair), so at most `jobs` threads are ever alive.
 WasabiOptions SanitizeForValidation(WasabiOptions options) {
+  options.jobs = 1;
   options.tracer = nullptr;
   options.metrics = nullptr;
   options.progress = nullptr;
@@ -236,6 +240,184 @@ std::string JoinSorted(const std::vector<std::string>& items) {
   return joined;
 }
 
+// What every candidate's validation reads: the pristine program, the
+// baseline pipeline run, and the validation configuration. Shared read-only
+// across the pool's workers (the cache behind `validation_options.cache` is
+// itself mutex-guarded).
+struct ValidationContext {
+  const mj::Program& program;
+  const mj::ProgramIndex& index;
+  const RepairOptions& options;
+  PipelineRun baseline;
+  WasabiOptions validation_options;
+};
+
+// One confirmed verdict's trip through synthesize + validate. A pure function
+// of the context and `bug`, apart from cache traffic and the warm state of
+// `baseline_arena`, which serves this worker's pre-patch K=1 probes.
+RepairRow RepairCandidate(const ValidationContext& context, const BugReport& bug,
+                          InterpreterArena& baseline_arena) {
+  const mj::Program& program = context.program;
+  const mj::ProgramIndex& index = context.index;
+  const WasabiOptions& validation_options = context.validation_options;
+  RepairRow row;
+  row.type = bug.type;
+  row.file = bug.file;
+  row.coordinator = bug.coordinator;
+  row.detail = bug.detail;
+  row.tmpl = TemplateForBug(bug.type);
+
+  if (row.tmpl == RepairTemplate::kNone) {
+    row.outcome = RepairOutcome::kNoTemplate;
+    row.note = "no local-patch template for this bug class";
+    return row;
+  }
+
+  std::string cls_name;
+  std::string method_name;
+  if (!SplitQualified(bug.coordinator, &cls_name, &method_name)) {
+    row.outcome = RepairOutcome::kNotFixed;
+    row.note = "coordinator is not a qualified Class.method name";
+    return row;
+  }
+
+  row.error_mode = SimRepair(context.options.sim)
+                       .ModeFor(bug.file, bug.coordinator, RepairTemplateName(row.tmpl));
+  std::string declared_method = method_name;
+  mj::MethodMutator mutator;
+  switch (row.error_mode) {
+    case RepairErrorMode::kWrongLocation:
+      mutator = MakeWrongLocationMutator();
+      declared_method = PickSiblingMethod(index, cls_name, method_name);
+      break;
+    case RepairErrorMode::kCapTooLow:
+      mutator = MakeBoundRetryMutator(1);
+      break;
+    case RepairErrorMode::kDropJitter:
+      mutator = MakeAddJitterMutator(/*drop_jitter=*/true);
+      break;
+    case RepairErrorMode::kNone:
+      switch (row.tmpl) {
+        case RepairTemplate::kBoundRetry:
+          mutator = MakeBoundRetryMutator(context.options.attempt_cap);
+          break;
+        case RepairTemplate::kAddBackoff:
+          mutator = MakeAddBackoffMutator();
+          break;
+        case RepairTemplate::kAddJitter:
+          mutator = MakeAddJitterMutator(/*drop_jitter=*/false);
+          break;
+        case RepairTemplate::kShedOnOverload:
+          mutator = MakeShedOnOverloadMutator("ResourceExhaustedException");
+          break;
+        case RepairTemplate::kNone:
+          break;
+      }
+      break;
+  }
+
+  const mj::CompilationUnit* unit = FindUnitByFile(program, bug.file);
+  if (unit == nullptr) {
+    row.outcome = RepairOutcome::kNotFixed;
+    row.note = "source file not found in program";
+    return row;
+  }
+
+  mj::RewriteResult rewrite = mj::RewriteMethod(
+      bug.file, std::string(unit->file().text()), cls_name, declared_method, mutator);
+  if (!rewrite.ok) {
+    row.outcome = RepairOutcome::kNotFixed;
+    row.note = "patch rejected: " + rewrite.error;
+    return row;
+  }
+
+  mj::Program patched;
+  std::string build_error;
+  if (!BuildPatchedProgram(program, bug.file, rewrite.patched_source, &patched, &build_error)) {
+    row.outcome = RepairOutcome::kNotFixed;
+    row.note = "patch rejected: " + build_error;
+    return row;
+  }
+  row.patched = true;
+
+  mj::ProgramIndex patched_index(patched);
+  PipelineRun post =
+      RunPipelineOnce(patched, patched_index, validation_options, context.options.storm);
+  const PipelineRun& baseline = context.baseline;
+
+  // Signal 1: verdict diff over the repair universe.
+  bool target_gone = post.keys.count(bug.MatchKey()) == 0;
+  std::vector<std::string> new_keys;
+  for (const std::string& key : post.keys) {
+    if (baseline.keys.count(key) == 0) {
+      new_keys.push_back(key);
+    }
+  }
+
+  // Signal 2: every test that passed uninjected must still pass.
+  std::vector<std::string> broken_tests;
+  for (const auto& [test, status] : baseline.clean) {
+    if (status != TestStatus::kPassed) {
+      continue;
+    }
+    auto it = post.clean.find(test);
+    if (it == post.clean.end() || it->second != TestStatus::kPassed) {
+      broken_tests.push_back(test);
+    }
+  }
+
+  // Signal 3: single-fault resilience. Only for templates whose contract is
+  // "the retry still works": shed-on-overload intentionally converts the
+  // injected-overload replay into a bail-out, so it is exempt.
+  bool single_fault_regressed = false;
+  std::string regressed_probe_test;
+  if (row.tmpl != RepairTemplate::kShedOnOverload) {
+    InterpreterArena patched_arena;  // Dies with this bug's patched_index.
+    for (const SingleFaultProbe& probe : PlanSingleFaultProbes(baseline.dyn, bug.coordinator)) {
+      TestStatus pre =
+          RunSingleFaultProbe(program, index, validation_options, probe, baseline_arena);
+      if (pre != TestStatus::kPassed) {
+        // This fault was never absorbed pre-patch; it carries no signal.
+        continue;
+      }
+      TestStatus after = RunSingleFaultProbe(patched, patched_index, validation_options, probe,
+                                             patched_arena);
+      if (after != TestStatus::kPassed) {
+        single_fault_regressed = true;
+        regressed_probe_test = probe.test;
+        break;
+      }
+    }
+  }
+
+  if (!new_keys.empty() || !broken_tests.empty() || single_fault_regressed) {
+    row.outcome = RepairOutcome::kRegressed;
+    std::string note;
+    if (!new_keys.empty()) {
+      note += "new verdicts: " + JoinSorted(new_keys);
+    }
+    if (!broken_tests.empty()) {
+      if (!note.empty()) {
+        note += "; ";
+      }
+      note += "clean tests broke: " + JoinSorted(broken_tests);
+    }
+    if (single_fault_regressed) {
+      if (!note.empty()) {
+        note += "; ";
+      }
+      note += "single-fault replay of " + regressed_probe_test + " no longer passes";
+    }
+    row.note = note;
+  } else if (!target_gone) {
+    row.outcome = RepairOutcome::kNotFixed;
+    row.note = "verdict persists after patch";
+  } else {
+    row.outcome = RepairOutcome::kFixed;
+  }
+  return row;
+}
+
 }  // namespace
 
 const char* RepairOutcomeName(RepairOutcome outcome) {
@@ -257,189 +439,39 @@ RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index
   RepairReport report;
   report.app = options.wasabi.app_name;
 
-  PipelineRun baseline = RunPipelineOnce(program, index, options.wasabi, options.storm);
-  WasabiOptions validation_options = SanitizeForValidation(options.wasabi);
-  SimRepair sim(options.sim);
-  InterpreterArena baseline_arena;  // Pre-patch K=1 probes on `program`.
+  ValidationContext context{program, index, options,
+                            RunPipelineOnce(program, index, options.wasabi, options.storm),
+                            SanitizeForValidation(options.wasabi)};
 
   CacheStats cache_before;
   if (options.wasabi.cache != nullptr) {
     cache_before = options.wasabi.cache->stats();
   }
 
-  for (const BugReport& bug : baseline.confirmed) {
-    RepairRow row;
-    row.type = bug.type;
-    row.file = bug.file;
-    row.coordinator = bug.coordinator;
-    row.detail = bug.detail;
-    row.tmpl = TemplateForBug(bug.type);
-    ++report.totals.confirmed;
+  // Every candidate is validated independently against the pristine baseline,
+  // so the validations are the pool's tasks. Each writes only its own row
+  // slot, and the tally below reads the slots in baseline order, so the report
+  // does not depend on scheduling.
+  const std::vector<BugReport>& confirmed = context.baseline.confirmed;
+  std::vector<RepairRow> rows(confirmed.size());
+  TaskPool pool(options.wasabi.jobs);
+  // Pre-patch K=1 probes on `program`, one warm arena per worker.
+  std::vector<InterpreterArena> baseline_arenas(static_cast<size_t>(pool.worker_count()));
+  pool.ParallelFor(confirmed.size(), [&](size_t i) {
+    rows[i] = RepairCandidate(context, confirmed[i],
+                              baseline_arenas[static_cast<size_t>(TaskPool::CurrentWorker())]);
+  });
 
-    if (row.tmpl == RepairTemplate::kNone) {
-      row.outcome = RepairOutcome::kNoTemplate;
-      row.note = "no local-patch template for this bug class";
-      ++report.totals.no_template;
-      report.rows.push_back(std::move(row));
-      continue;
-    }
-    ++report.totals.eligible;
-
-    std::string cls_name;
-    std::string method_name;
-    if (!SplitQualified(bug.coordinator, &cls_name, &method_name)) {
-      row.outcome = RepairOutcome::kNotFixed;
-      row.note = "coordinator is not a qualified Class.method name";
-      ++report.totals.not_fixed;
-      report.rows.push_back(std::move(row));
-      continue;
-    }
-
-    row.error_mode = sim.ModeFor(bug.file, bug.coordinator, RepairTemplateName(row.tmpl));
-    std::string declared_method = method_name;
-    mj::MethodMutator mutator;
-    switch (row.error_mode) {
-      case RepairErrorMode::kWrongLocation:
-        mutator = MakeWrongLocationMutator();
-        declared_method = PickSiblingMethod(index, cls_name, method_name);
-        break;
-      case RepairErrorMode::kCapTooLow:
-        mutator = MakeBoundRetryMutator(1);
-        break;
-      case RepairErrorMode::kDropJitter:
-        mutator = MakeAddJitterMutator(/*drop_jitter=*/true);
-        break;
-      case RepairErrorMode::kNone:
-        switch (row.tmpl) {
-          case RepairTemplate::kBoundRetry:
-            mutator = MakeBoundRetryMutator(options.attempt_cap);
-            break;
-          case RepairTemplate::kAddBackoff:
-            mutator = MakeAddBackoffMutator();
-            break;
-          case RepairTemplate::kAddJitter:
-            mutator = MakeAddJitterMutator(/*drop_jitter=*/false);
-            break;
-          case RepairTemplate::kShedOnOverload:
-            mutator = MakeShedOnOverloadMutator("ResourceExhaustedException");
-            break;
-          case RepairTemplate::kNone:
-            break;
-        }
-        break;
-    }
-
-    const mj::CompilationUnit* unit = FindUnitByFile(program, bug.file);
-    if (unit == nullptr) {
-      row.outcome = RepairOutcome::kNotFixed;
-      row.note = "source file not found in program";
-      ++report.totals.not_fixed;
-      report.rows.push_back(std::move(row));
-      continue;
-    }
-
-    mj::RewriteResult rewrite = mj::RewriteMethod(
-        bug.file, std::string(unit->file().text()), cls_name, declared_method, mutator);
-    if (!rewrite.ok) {
-      row.outcome = RepairOutcome::kNotFixed;
-      row.note = "patch rejected: " + rewrite.error;
-      ++report.totals.not_fixed;
-      report.rows.push_back(std::move(row));
-      continue;
-    }
-
-    mj::Program patched;
-    std::string build_error;
-    if (!BuildPatchedProgram(program, bug.file, rewrite.patched_source, &patched,
-                             &build_error)) {
-      row.outcome = RepairOutcome::kNotFixed;
-      row.note = "patch rejected: " + build_error;
-      ++report.totals.not_fixed;
-      report.rows.push_back(std::move(row));
-      continue;
-    }
-    row.patched = true;
-    ++report.totals.patched;
-
-    mj::ProgramIndex patched_index(patched);
-    PipelineRun post = RunPipelineOnce(patched, patched_index, validation_options, options.storm);
-
-    // Signal 1: verdict diff over the repair universe.
-    bool target_gone = post.keys.count(bug.MatchKey()) == 0;
-    std::vector<std::string> new_keys;
-    for (const std::string& key : post.keys) {
-      if (baseline.keys.count(key) == 0) {
-        new_keys.push_back(key);
-      }
-    }
-
-    // Signal 2: every test that passed uninjected must still pass.
-    std::vector<std::string> broken_tests;
-    for (const auto& [test, status] : baseline.clean) {
-      if (status != TestStatus::kPassed) {
-        continue;
-      }
-      auto it = post.clean.find(test);
-      if (it == post.clean.end() || it->second != TestStatus::kPassed) {
-        broken_tests.push_back(test);
-      }
-    }
-
-    // Signal 3: single-fault resilience. Only for templates whose contract is
-    // "the retry still works": shed-on-overload intentionally converts the
-    // injected-overload replay into a bail-out, so it is exempt.
-    bool single_fault_regressed = false;
-    std::string regressed_probe_test;
-    if (row.tmpl != RepairTemplate::kShedOnOverload) {
-      InterpreterArena patched_arena;  // Dies with this bug's patched_index.
-      for (const SingleFaultProbe& probe :
-           PlanSingleFaultProbes(baseline.dyn, bug.coordinator)) {
-        TestStatus pre =
-            RunSingleFaultProbe(program, index, validation_options, probe, baseline_arena);
-        if (pre != TestStatus::kPassed) {
-          // This fault was never absorbed pre-patch; it carries no signal.
-          continue;
-        }
-        TestStatus after = RunSingleFaultProbe(patched, patched_index, validation_options,
-                                               probe, patched_arena);
-        if (after != TestStatus::kPassed) {
-          single_fault_regressed = true;
-          regressed_probe_test = probe.test;
-          break;
-        }
-      }
-    }
-
-    if (!new_keys.empty() || !broken_tests.empty() || single_fault_regressed) {
-      row.outcome = RepairOutcome::kRegressed;
-      std::string note;
-      if (!new_keys.empty()) {
-        note += "new verdicts: " + JoinSorted(new_keys);
-      }
-      if (!broken_tests.empty()) {
-        if (!note.empty()) {
-          note += "; ";
-        }
-        note += "clean tests broke: " + JoinSorted(broken_tests);
-      }
-      if (single_fault_regressed) {
-        if (!note.empty()) {
-          note += "; ";
-        }
-        note += "single-fault replay of " + regressed_probe_test + " no longer passes";
-      }
-      row.note = note;
-      ++report.totals.regressed;
-    } else if (!target_gone) {
-      row.outcome = RepairOutcome::kNotFixed;
-      row.note = "verdict persists after patch";
-      ++report.totals.not_fixed;
-    } else {
-      row.outcome = RepairOutcome::kFixed;
-      ++report.totals.fixed;
-    }
-    report.rows.push_back(std::move(row));
+  RepairTotals& totals = report.totals;
+  for (const RepairRow& row : rows) {
+    ++totals.confirmed;
+    ++(row.outcome == RepairOutcome::kNoTemplate ? totals.no_template : totals.eligible);
+    totals.patched += row.patched ? 1 : 0;
+    totals.fixed += row.outcome == RepairOutcome::kFixed ? 1 : 0;
+    totals.not_fixed += row.outcome == RepairOutcome::kNotFixed ? 1 : 0;
+    totals.regressed += row.outcome == RepairOutcome::kRegressed ? 1 : 0;
   }
+  report.rows = std::move(rows);
 
   if (options.wasabi.cache != nullptr) {
     report.validation_cache_delta = DiffStats(cache_before, options.wasabi.cache->stats());

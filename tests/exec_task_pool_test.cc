@@ -1,10 +1,14 @@
 // Unit tests for the work-stealing TaskPool underneath the campaign executor:
 // exactly-once execution for every index, reuse of one pool across many jobs
 // (including thousands of back-to-back tiny ones),
-// serial (1-worker) inline mode, exception propagation, and worker-count
-// resolution.
+// serial (1-worker) inline mode, exception propagation, worker-count
+// resolution, idle workers that block instead of spinning, and the worker
+// index surviving nested pools.
+
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <memory>
@@ -74,6 +78,62 @@ TEST(TaskPoolTest, BackToBackTinyJobsRunEveryIndexExactlyOnce) {
         ASSERT_EQ(runs[i].load(), 1) << workers << " workers, job " << job << ", index " << i;
       }
     }
+  }
+}
+
+// CPU time (user + system) this process has used so far.
+std::chrono::microseconds ProcessCpuTime() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto micros = [](const timeval& t) {
+    return std::chrono::seconds(t.tv_sec) + std::chrono::microseconds(t.tv_usec);
+  };
+  return micros(usage.ru_utime) + micros(usage.ru_stime);
+}
+
+// One slow index and nothing else to do: the three idle workers must block,
+// not spin. A yield loop burns about three cores for the whole 200 ms here
+// (~600 ms of CPU); blocked workers cost next to nothing.
+TEST(TaskPoolTest, IdleWorkersBlockInsteadOfSpinning) {
+  TaskPool pool(4);
+  const std::chrono::microseconds cpu_before = ProcessCpuTime();
+  pool.ParallelFor(16, [](size_t i) {
+    if (i == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+  });
+  const std::chrono::microseconds cpu_spent = ProcessCpuTime() - cpu_before;
+  EXPECT_LT(cpu_spent, std::chrono::milliseconds(50))
+      << "idle workers spent " << cpu_spent.count() << " us of CPU during a 200 ms task";
+}
+
+// A task that runs a nested pool's job on its own thread (a TaskPool(1)
+// inline, or as worker 0 of a TaskPool(2)) must read its own worker index
+// again afterwards: per-worker state such as interpreter arenas is keyed on
+// it.
+TEST(TaskPoolTest, NestedPoolsRestoreTheEnclosingWorkerIndex) {
+  TaskPool pool(4);
+  constexpr size_t kCount = 64;
+  std::vector<int> entry(kCount, -1);
+  std::vector<int> after(kCount, -2);
+  pool.ParallelFor(kCount, [&](size_t i) {
+    entry[i] = TaskPool::CurrentWorker();
+    TaskPool serial(1);
+    serial.ParallelFor(3, [](size_t) { EXPECT_EQ(TaskPool::CurrentWorker(), 0); });
+    TaskPool pair(2);
+    std::atomic<int> inner{0};
+    pair.ParallelFor(8, [&](size_t) {
+      const int worker = TaskPool::CurrentWorker();
+      EXPECT_TRUE(worker == 0 || worker == 1) << worker;
+      inner.fetch_add(1);
+    });
+    EXPECT_EQ(inner.load(), 8);
+    after[i] = TaskPool::CurrentWorker();
+  });
+  for (size_t i = 0; i < kCount; ++i) {
+    EXPECT_GE(entry[i], 0) << "index " << i;
+    EXPECT_LT(entry[i], 4) << "index " << i;
+    EXPECT_EQ(after[i], entry[i]) << "index " << i;
   }
 }
 

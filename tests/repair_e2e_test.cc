@@ -72,71 +72,97 @@ TEST(RepairE2eTest, RepairlabOutcomesMatchTheSeededManifestExactly) {
 }
 
 TEST(RepairE2eTest, ReportIsByteIdenticalAtAnyWorkerCountAndBothEngines) {
-  CorpusApp app = BuildCorpusApp("repairlab");
-  RepairOptions baseline_options = OptionsFor(app);
-  baseline_options.wasabi.jobs = 1;
-  std::string baseline = RepairReportToJson(RunOnce(app, baseline_options));
-  ASSERT_FALSE(baseline.empty());
+  // repairlab exercises every template; stormlab's validations are the
+  // longest (each re-runs the storm simulation), so it is where concurrent
+  // validations overlap the most.
+  for (const char* name : {"repairlab", "stormlab"}) {
+    SCOPED_TRACE(name);
+    CorpusApp app = BuildCorpusApp(name);
+    RepairOptions baseline_options = OptionsFor(app);
+    baseline_options.wasabi.jobs = 1;
+    std::string baseline = RepairReportToJson(RunOnce(app, baseline_options));
+    ASSERT_FALSE(baseline.empty());
 
-  for (int jobs : {2, 4, 8}) {
-    RepairOptions options = OptionsFor(app);
-    options.wasabi.jobs = jobs;
-    EXPECT_EQ(RepairReportToJson(RunOnce(app, options)), baseline) << "jobs=" << jobs;
+    for (int jobs : {2, 4, 8}) {
+      RepairOptions options = OptionsFor(app);
+      options.wasabi.jobs = jobs;
+      EXPECT_EQ(RepairReportToJson(RunOnce(app, options)), baseline) << "jobs=" << jobs;
+    }
+    RepairOptions tree = OptionsFor(app);
+    tree.wasabi.interp.engine = EngineKind::kTree;
+    EXPECT_EQ(RepairReportToJson(RunOnce(app, tree)), baseline)
+        << "the tree-walker must reproduce the VM's repair report byte for byte";
   }
-  RepairOptions tree = OptionsFor(app);
-  tree.wasabi.interp.engine = EngineKind::kTree;
-  EXPECT_EQ(RepairReportToJson(RunOnce(app, tree)), baseline)
-      << "the tree-walker must reproduce the VM's repair report byte for byte";
 }
 
 TEST(RepairE2eTest, ReportIsByteIdenticalWithCacheOffColdAndWarm) {
   CorpusApp app = BuildCorpusApp("repairlab");
   std::string off = RepairReportToJson(RunOnce(app, OptionsFor(app)));
 
-  std::string dir = UniqueTempDir("cache");
-  std::string error;
-  std::unique_ptr<CacheStore> store = CacheStore::Open(dir, &error);
-  ASSERT_NE(store, nullptr) << error;
+  // At jobs 4 the validations run concurrently and share the store.
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    std::string dir = UniqueTempDir("cache");
+    std::string error;
+    std::unique_ptr<CacheStore> store = CacheStore::Open(dir, &error);
+    ASSERT_NE(store, nullptr) << error;
 
-  RepairOptions cold_options = OptionsFor(app);
-  cold_options.wasabi.cache = store.get();
-  RepairReport cold = RunOnce(app, cold_options);
-  EXPECT_EQ(RepairReportToJson(cold), off) << "cold cache must not change the report";
-  ASSERT_TRUE(store->Flush(&error)) << error;
+    RepairOptions cold_options = OptionsFor(app);
+    cold_options.wasabi.jobs = jobs;
+    cold_options.wasabi.cache = store.get();
+    RepairReport cold = RunOnce(app, cold_options);
+    EXPECT_EQ(RepairReportToJson(cold), off) << "cold cache must not change the report";
+    ASSERT_TRUE(store->Flush(&error)) << error;
 
-  std::unique_ptr<CacheStore> warm_store = CacheStore::Open(dir, &error);
-  ASSERT_NE(warm_store, nullptr) << error;
-  RepairOptions warm_options = OptionsFor(app);
-  warm_options.wasabi.cache = warm_store.get();
-  RepairReport warm = RunOnce(app, warm_options);
-  EXPECT_EQ(RepairReportToJson(warm), off) << "warm cache must not change the report";
+    std::unique_ptr<CacheStore> warm_store = CacheStore::Open(dir, &error);
+    ASSERT_NE(warm_store, nullptr) << error;
+    RepairOptions warm_options = OptionsFor(app);
+    warm_options.wasabi.jobs = jobs;
+    warm_options.wasabi.cache = warm_store.get();
+    RepairReport warm = RunOnce(app, warm_options);
+    EXPECT_EQ(RepairReportToJson(warm), off) << "warm cache must not change the report";
 
-  fs::remove_all(dir);
+    fs::remove_all(dir);
+  }
 }
 
 TEST(RepairE2eTest, ValidationReusesTheUnpatchedSliceOfTheCache) {
   CorpusApp app = BuildCorpusApp("repairlab");
-  std::string dir = UniqueTempDir("slice");
-  std::string error;
-  std::unique_ptr<CacheStore> store = CacheStore::Open(dir, &error);
-  ASSERT_NE(store, nullptr) << error;
+  std::vector<CacheStats> deltas;
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    std::string dir = UniqueTempDir("slice");
+    std::string error;
+    std::unique_ptr<CacheStore> store = CacheStore::Open(dir, &error);
+    ASSERT_NE(store, nullptr) << error;
 
-  RepairOptions options = OptionsFor(app);
-  options.wasabi.cache = store.get();
-  RepairReport report = RunOnce(app, options);
+    RepairOptions options = OptionsFor(app);
+    options.wasabi.jobs = jobs;
+    options.wasabi.cache = store.get();
+    RepairReport report = RunOnce(app, options);
 
-  // Starting COLD, the baseline populates per-file entries; each validation
-  // re-campaign then hits the q1/when entries of every UNPATCHED file (their
-  // digests are unchanged) and misses for the patched file plus the
-  // program-digest-keyed namespaces. Both sides non-zero is the slicing
-  // signature: neither a full recompute nor an (impossible) full hit.
-  const CacheStats& delta = report.validation_cache_delta;
-  EXPECT_GT(delta.hits, 0u) << "validation must reuse the unpatched slice";
-  EXPECT_GT(delta.misses, 0u) << "a patched file must invalidate its own entries";
-  EXPECT_GT(delta.hits_by_namespace.count("q1"), 0u);
-  EXPECT_GT(delta.hits_by_namespace.count("when"), 0u);
+    // Starting COLD, the baseline populates per-file entries; each validation
+    // re-campaign then hits the q1/when entries of every UNPATCHED file (their
+    // digests are unchanged) and misses for the patched file plus the
+    // program-digest-keyed namespaces. Both sides non-zero is the slicing
+    // signature: neither a full recompute nor an (impossible) full hit.
+    const CacheStats& delta = report.validation_cache_delta;
+    EXPECT_GT(delta.hits, 0u) << "validation must reuse the unpatched slice";
+    EXPECT_GT(delta.misses, 0u) << "a patched file must invalidate its own entries";
+    EXPECT_GT(delta.hits_by_namespace.count("q1"), 0u);
+    EXPECT_GT(delta.hits_by_namespace.count("when"), 0u);
+    deltas.push_back(delta);
 
-  fs::remove_all(dir);
+    fs::remove_all(dir);
+  }
+  // Concurrent validations read the baseline's entries and write disjoint
+  // keys (every patched program has its own digest), so the traffic is the
+  // same as one validation after another.
+  ASSERT_EQ(deltas.size(), 2u);
+  EXPECT_EQ(deltas[1].hits, deltas[0].hits);
+  EXPECT_EQ(deltas[1].misses, deltas[0].misses);
+  EXPECT_EQ(deltas[1].hits_by_namespace, deltas[0].hits_by_namespace);
+  EXPECT_EQ(deltas[1].misses_by_namespace, deltas[0].misses_by_namespace);
 }
 
 TEST(RepairE2eTest, EverySimRepairBadPatchIsCaughtNeverReportedFixed) {

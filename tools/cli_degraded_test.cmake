@@ -68,13 +68,15 @@ if(NOT chaos_two STREQUAL chaos_four)
   message(FATAL_ERROR "--chaos output differs between 2 and 4 workers")
 endif()
 
-# Option validation: every bad value exits 2 with the usage line.
-set(bad_option_sets
-    "--jobs;0" "--jobs;-3" "--jobs;abc" "--jobs;4294967297" "--jobs;2147483648"
-    "--max-quarantined;-1" "--max-quarantined;x"
-    "--chaos;banana" "--chaos;42:1.5" "--fail-fast=1"
-    "--jobs;1025" "--max-quarantined;99999999999999999999" "--chaos;-1:0.1")
-foreach(bad_args IN LISTS bad_option_sets)
+# Option validation: every bad value exits 2 with the usage line. Each quoted
+# item is one option set (IN ITEMS keeps "--jobs;0" whole; a list variable
+# would split it into "--jobs" and "0" and test each alone).
+foreach(bad_args IN ITEMS
+        "--jobs;0" "--jobs;-3" "--jobs;abc" "--jobs;4294967297" "--jobs;2147483648"
+        "--max-quarantined;-1" "--max-quarantined;x"
+        "--chaos;banana" "--chaos;42:1.5" "--fail-fast=1"
+        "--jobs;1025" "--max-quarantined;99999999999999999999" "--chaos;-1:0.1"
+        "--storm;--storm-duration;600001" "--storm;--storm-duration;9223372036854775807")
   execute_process(COMMAND "${WASABI_CLI}" test "${app}" ${bad_args}
                   RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
   if(NOT rc EQUAL 2)

@@ -86,13 +86,17 @@ if(NOT short_run MATCHES "\"duration_ms\": 12000")
 endif()
 
 # Strict flag parsing: every malformed --storm-* value (an overflowing seed
-# included), a --storm-* flag without a storm context, --app outside
-# dump-corpus, a flag on a command that does not take it, and any option to
-# study exit 2 with usage.
+# included, and a duration past the 600000 ms bound), a --storm-* flag
+# without a storm context, --app outside dump-corpus, a flag on a command
+# that does not take it (--replay on storm/repair included), and any option
+# to study exit 2 with usage.
 foreach(bad_args IN ITEMS
         "storm;${app};--storm-seed;x" "storm;${app};--storm-seed;-1"
         "storm;${app};--storm-seed" "storm;${app};--storm-duration;0"
         "storm;${app};--storm-duration;-5" "storm;${app};--storm-duration;x"
+        "storm;${app};--storm-duration;600001"
+        "storm;${app};--storm-duration;9223372036854775807"
+        "storm;${app};--replay;3" "repair;${app};--replay;3"
         "storm;${app};--storm-fault;5000" "storm;${app};--storm-fault;5000:1000"
         "storm;${app};--storm-fault;-1:2000" "storm;${app};--storm-fault;a:b"
         "storm;${app};--storm-fault;1000:90000" "storm;${app};--storm-out="

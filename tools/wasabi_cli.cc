@@ -27,9 +27,10 @@
 // Options:
 //   --json                            machine-readable bug reports
 //   --jobs N                          worker threads for the injection
-//                                     campaign, 1 <= N <= 1024 (default: all
-//                                     hardware threads; output is identical
-//                                     for any N)
+//                                     campaign (for repair: the per-candidate
+//                                     validations), 1 <= N <= 1024 (default:
+//                                     all hardware threads; output is
+//                                     identical for any N)
 //   --trace-out=FILE                  write a Chrome trace-event JSON of the
 //                                     run (open in chrome://tracing/Perfetto)
 //   --metrics-out=FILE                write the metrics snapshot
@@ -86,7 +87,7 @@
 //                                     to the obs sinks (journal/metrics/trace/
 //                                     report) only
 //   --storm-seed N                    storm RNG seed (non-negative; default 1)
-//   --storm-duration MS               simulated duration (positive; default
+//   --storm-duration MS               simulated duration (1..600000; default
 //                                     30000)
 //   --storm-fault START:END           transient backend fault window in
 //                                     simulated ms (0 <= START < END <=
@@ -196,6 +197,12 @@ unsigned CommandBit(std::string_view name) {
 // accepted inputs is the same everywhere; far above any useful worker count.
 constexpr int64_t kMaxJobs = 1024;
 
+// --storm-duration upper bound, in simulated ms. The simulator's run time is
+// linear in the simulated duration (about 5 ms of host time per simulated
+// second on stormlab), so ten simulated minutes caps a storm run at about 3 s
+// instead of letting an INT64_MAX duration run until it is killed.
+constexpr int64_t kMaxStormDurationMs = 600000;
+
 // What a flag's value must be: none (a switch), a decimal integer in
 // [lo, hi], any string, a non-empty string, one of the `|`-separated choices
 // after the usage fragment's '=', or whatever the row's own parser accepts.
@@ -285,8 +292,7 @@ const Flag kFlags[] = {
      .set = [](CliOptions& c, const FlagValue& v) { c.repetitions = static_cast<int>(v.number); }},
     {.name = "--record", .usage = " DIR", .kind = Kind::kPath,
      .set = [](CliOptions& c, const FlagValue& v) { c.record_dir = v.text; }},
-    // Acted on by test/analyze only; storm and repair accept and ignore it.
-    {.name = "--replay", .usage = " ID", .kind = Kind::kInt, .commands = kTest | kStorm | kRepair,
+    {.name = "--replay", .usage = " ID", .kind = Kind::kInt, .commands = kTest,
      .set = [](CliOptions& c, const FlagValue& v) { c.replay_run_id = v.number; }},
     {.name = "--storm", .commands = kTest,
      .set = [](CliOptions& c, const FlagValue&) { c.storm = true; }},
@@ -295,7 +301,7 @@ const Flag kFlags[] = {
      .commands = kTest | kStorm | kRepair,
      .set = [](CliOptions& c, const FlagValue& v) { c.storm_options.seed = v.number; }},
     {.name = "--storm-duration", .usage = " MS", .kind = Kind::kInt,
-     .commands = kTest | kStorm | kRepair, .lo = 1,
+     .commands = kTest | kStorm | kRepair, .lo = 1, .hi = kMaxStormDurationMs,
      .set = [](CliOptions& c, const FlagValue& v) { c.storm_options.duration_ms = v.number; }},
     {.name = "--storm-fault", .usage = " START:END", .kind = Kind::kCustom,
      .commands = kTest | kStorm | kRepair, .parse = ParseStormFault},
@@ -364,7 +370,7 @@ bool CheckFlagRules(unsigned command, const CliOptions& cli, const std::vector<b
       cli.storm_options.fault_end_ms > cli.storm_options.duration_ms) {
     return Fail("option --storm-fault window must end within --storm-duration");
   }
-  if (seen("--replay") && command == kTest && !seen("--record")) {
+  if (seen("--replay") && !seen("--record")) {
     return Fail("option --replay requires --record DIR (the record to replay from)");
   }
   if (seen("--app") && cli.scale != 1) {
