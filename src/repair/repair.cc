@@ -47,6 +47,8 @@ struct PipelineRun {
   std::vector<BugReport> confirmed;          // Universe, deduped, sorted.
   std::set<std::string> keys;                // MatchKeys of `confirmed`.
   std::map<std::string, TestStatus> clean;   // Test -> uninjected outcome.
+  std::vector<EdgeRetryProfile> profiles;    // The storm simulation's input
+  std::vector<BugReport> storm_bugs;         // and its verdicts.
 };
 
 std::map<std::string, TestStatus> RunCleanSuite(const mj::Program& program,
@@ -64,8 +66,12 @@ std::map<std::string, TestStatus> RunCleanSuite(const mj::Program& program,
   return outcomes;
 }
 
+// `baseline`, when given, is the unpatched program's run under the same
+// options: RunStormSim is a pure function of (app, profiles, options), so a
+// patch that leaves every extracted profile unchanged reuses its storm bugs.
 PipelineRun RunPipelineOnce(const mj::Program& program, const mj::ProgramIndex& index,
-                            const WasabiOptions& options, const StormOptions& storm_options) {
+                            const WasabiOptions& options, const StormOptions& storm_options,
+                            const PipelineRun* baseline = nullptr) {
   PipelineRun run;
   Wasabi wasabi(program, index, options);
   run.dyn = wasabi.RunDynamicWorkflow();
@@ -77,11 +83,13 @@ PipelineRun RunPipelineOnce(const mj::Program& program, const mj::ProgramIndex& 
   // oracles; the first report of a MatchKey keeps its detail line.
   std::vector<BugReport> candidates = run.dyn.bugs;
   candidates.insert(candidates.end(), collated.begin(), collated.end());
-  std::vector<EdgeRetryProfile> profiles = ExtractRetryProfiles(program, index, options.jobs);
-  if (!profiles.empty()) {
-    StormReport storm = RunStormSim(options.app_name, profiles, storm_options, nullptr);
-    candidates.insert(candidates.end(), storm.bugs.begin(), storm.bugs.end());
+  run.profiles = ExtractRetryProfiles(program, index, options.jobs);
+  if (baseline != nullptr && run.profiles == baseline->profiles) {
+    run.storm_bugs = baseline->storm_bugs;
+  } else if (!run.profiles.empty()) {
+    run.storm_bugs = RunStormSim(options.app_name, run.profiles, storm_options, nullptr).bugs;
   }
+  candidates.insert(candidates.end(), run.storm_bugs.begin(), run.storm_bugs.end());
   for (const BugReport& report : candidates) {
     if (!InRepairUniverse(report.type)) {
       continue;
@@ -341,9 +349,9 @@ RepairRow RepairCandidate(const ValidationContext& context, const BugReport& bug
   row.patched = true;
 
   mj::ProgramIndex patched_index(patched);
-  PipelineRun post =
-      RunPipelineOnce(patched, patched_index, validation_options, context.options.storm);
   const PipelineRun& baseline = context.baseline;
+  PipelineRun post = RunPipelineOnce(patched, patched_index, validation_options,
+                                     context.options.storm, &baseline);
 
   // Signal 1: verdict diff over the repair universe.
   bool target_gone = post.keys.count(bug.MatchKey()) == 0;

@@ -48,7 +48,8 @@ struct EdgeRt {
   SimRng rng{0};
   JournalRun run;
   std::unordered_map<uint64_t, Request> live;
-  std::unordered_map<int64_t, int64_t> retries_at_ms;  // For wave_peak.
+  int64_t wave_ms = -1;    // For wave_peak: the ms of the latest retry
+  int64_t wave_count = 0;  // dispatch, and how many retries it dispatched.
   uint64_t next_req = 0;
   int64_t inflight_retries = 0;
   int64_t queued = 0;  // Copies currently in the backend queue / in service.
@@ -111,7 +112,7 @@ class StormSim {
     while (!queue_.empty()) {
       auto entry = queue_.PopMin();
       if (entry.at_ms > opt_.duration_ms) {
-        break;  // Heap pops in time order: everything left is past the end.
+        break;  // The queue pops in time order: everything left is past the end.
       }
       clock_.AdvanceTo(entry.at_ms);
       Handle(entry.at_ms, entry.payload);
@@ -194,9 +195,13 @@ class StormSim {
     EdgeRt& edge = edges_[e];
     edge.stats.attempts++;
     if (attempt >= 2) {
-      int64_t& count = edge.retries_at_ms[t];
-      ++count;
-      edge.stats.wave_peak = std::max(edge.stats.wave_peak, count);
+      // Dispatch times never decrease, so one running (ms, count) pair sees
+      // every ms's full retry count.
+      if (t != edge.wave_ms) {
+        edge.wave_ms = t;
+        edge.wave_count = 0;
+      }
+      edge.stats.wave_peak = std::max(edge.stats.wave_peak, ++edge.wave_count);
     }
     if (t >= WindowStart()) {
       edge.stats.post_window_attempts++;

@@ -18,8 +18,9 @@
 // admission CircuitBreaker (threshold + half-open cooldown from
 // src/robust); edges that retry on overload lack one — that is the bug.
 //
-// Determinism. The event loop is serial over an EventQueue keyed
-// (time, push seq); all jitter comes from per-edge SimRng splits; the
+// Determinism. The event loop is serial over an EventQueue (a timing wheel
+// with an overflow heap, src/storm/sim.h) that pops in exact (time, push
+// seq) order; all jitter comes from per-edge SimRng splits; the
 // journal (stream kStorm) and the report are pure functions of
 // (profiles, options). Reports are byte-identical at any --jobs level and
 // across repeated same-seed runs (bench/stress_storm proves it).

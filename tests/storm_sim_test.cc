@@ -7,11 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <queue>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/corpus/corpus.h"
+#include "src/lang/digest.h"
 #include "src/obs/journal.h"
+#include "src/storm/profile.h"
 #include "src/storm/storm.h"
 
 namespace wasabi {
@@ -104,6 +111,145 @@ TEST(EventQueueTest, InterleavedPushPopKeepsHeapInvariant) {
     auto e = q.PopMin();
     EXPECT_GE(e.at_ms, last);
     last = e.at_ms;
+  }
+}
+
+// Differential property test: seeded push/pop sequences against a reference
+// std::priority_queue keyed (at_ms, seq). Every push respects the queue's one
+// precondition (never earlier than the last pop). Delays are drawn per
+// pattern so the sequences cover same-ms ties, pushes just inside and just
+// past every power-of-two horizon up to 2^16 ms (so the wheel edge is hit
+// whatever its span), far-only stretches where the cursor has to jump, and
+// near and far entries due at the same ms.
+struct RefEntry {
+  int64_t at_ms;
+  uint64_t seq;
+  int payload;
+  bool operator>(const RefEntry& o) const {
+    return std::tie(at_ms, seq) > std::tie(o.at_ms, o.seq);
+  }
+};
+
+int64_t DrawDelay(SimRng& rng, int pattern) {
+  switch (pattern) {
+    case 0:  // Dense near traffic with many same-ms ties.
+      return rng.NextInt(0, 3);
+    case 1: {  // Horizon edges: 2^k - 1, 2^k, 2^k + 1 for k in [8, 16].
+      int64_t edge = int64_t{1} << rng.NextInt(8, 16);
+      return edge + rng.NextInt(-1, 1);
+    }
+    case 2:  // Far only: the wheel stays empty and the cursor jumps.
+      return rng.NextInt(20'000, 200'000);
+    default:  // Mixed spread across the near and far ranges.
+      return rng.NextInt(0, 40'000);
+  }
+}
+
+TEST(EventQueueTest, MatchesAReferencePriorityQueueOnSeededSequences) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SimRng rng(seed);
+    EventQueue<int> q;
+    std::priority_queue<RefEntry, std::vector<RefEntry>, std::greater<RefEntry>> ref;
+    uint64_t next_seq = 0;
+    int64_t last_pop = 0;
+    int payload = 0;
+    auto push = [&](int64_t at_ms) {
+      q.Push(at_ms, payload);
+      ref.push(RefEntry{at_ms, next_seq++, payload});
+      ++payload;
+    };
+    for (int step = 0; step < 4000; ++step) {
+      int pattern = static_cast<int>(rng.NextInt(0, 3));
+      int64_t pushes = rng.NextInt(0, 4);
+      for (int64_t i = 0; i < pushes; ++i) {
+        push(last_pop + DrawDelay(rng, pattern));
+      }
+      int64_t pops = rng.NextInt(0, 4);
+      for (int64_t i = 0; i < pops && !ref.empty(); ++i) {
+        ASSERT_FALSE(q.empty());
+        auto got = q.PopMin();
+        RefEntry want = ref.top();
+        ref.pop();
+        ASSERT_EQ(got.at_ms, want.at_ms) << "seed " << seed << " step " << step;
+        ASSERT_EQ(got.seq, want.seq) << "seed " << seed << " step " << step;
+        ASSERT_EQ(got.payload, want.payload) << "seed " << seed << " step " << step;
+        last_pop = got.at_ms;
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (!ref.empty()) {
+      auto got = q.PopMin();
+      ASSERT_EQ(got.seq, ref.top().seq) << "seed " << seed << " drain";
+      ref.pop();
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+TEST(EventQueueTest, FarAndNearEntriesForTheSameMsPopInPushOrder) {
+  // Entries due at kT are pushed from cursors walked up to kT - 2^k - 1,
+  // kT - 2^k and kT - 2^k + 1 for k from 16 down to 8, so some are far and
+  // some near whatever the wheel's span. One more is pushed at kT after the
+  // first kT pop. Every kT entry must pop in push order.
+  constexpr int64_t kT = 100'000;
+  constexpr int kWalker = -1;
+  EventQueue<int> q;
+  int next = 0;
+  q.Push(kT, next++);
+  for (int k = 16; k >= 8; --k) {
+    for (int64_t off : {1, 0, -1}) {
+      int64_t at = kT - (int64_t{1} << k) - off;
+      q.Push(at, kWalker);
+      auto walker = q.PopMin();
+      ASSERT_EQ(walker.payload, kWalker);
+      ASSERT_EQ(walker.at_ms, at);
+      q.Push(kT, next++);
+    }
+  }
+  std::vector<int> order;
+  order.push_back(q.PopMin().payload);
+  q.Push(kT, next++);  // Due now: behind everything else due at kT.
+  while (!q.empty()) {
+    auto entry = q.PopMin();
+    EXPECT_EQ(entry.at_ms, kT);
+    order.push_back(entry.payload);
+  }
+  ASSERT_EQ(order.size(), static_cast<size_t>(next));
+  for (int i = 0; i < next; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  }
+}
+
+// Golden digests of StormReportToJson plus the storm journal JSON for the two
+// storm labs, pinned from the binary-heap event queue: any change to the
+// queue's pop order, or to the simulator, shows up here.
+uint64_t StormDigest(const std::string& name, const StormOptions& options) {
+  CorpusApp app = BuildCorpusApp(name);
+  std::vector<EdgeRetryProfile> profiles = ExtractRetryProfiles(app.program, *app.index);
+  RetryJournal journal;
+  StormReport report = RunStormSim(app.name, profiles, options, &journal);
+  return mj::Fnv1a64(journal.ToJson(app.name), mj::Fnv1a64(StormReportToJson(report)));
+}
+
+TEST(StormGoldenTest, LabReportsAndJournalsMatchPinnedDigests) {
+  StormOptions long_run;
+  long_run.duration_ms = 600'000;
+  long_run.seed = 7;
+  struct Golden {
+    const char* app;
+    StormOptions options;
+    uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"repairlab", StormOptions{}, 0x7849d70d903d7555ull},
+      {"stormlab", StormOptions{}, 0xb85b062e99816175ull},
+      {"repairlab", long_run, 0xe733b80c997601d7ull},
+      {"stormlab", long_run, 0xe52d6b4c6fb7240full},
+  };
+  for (const Golden& golden : goldens) {
+    EXPECT_EQ(StormDigest(golden.app, golden.options), golden.digest)
+        << golden.app << " duration_ms=" << golden.options.duration_ms
+        << " seed=" << golden.options.seed;
   }
 }
 

@@ -6,7 +6,9 @@
 #   4. option validation: bad --jobs / --max-quarantined / --chaos values are
 #      rejected with exit code 2 and the usage line — including a --jobs
 #      above the fixed 1024 bound, an integer that overflows 64 bits, and a
-#      signed chaos seed.
+#      signed chaos seed;
+#   5. flag scoping: a flag on a subcommand whose handler never reads it
+#      (static --scale, identify --chaos, dump-corpus --fail-fast, ...) exits 2.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 execute_process(COMMAND "${WASABI_CLI}" dump-corpus "${WORK_DIR}" RESULT_VARIABLE rc
@@ -94,3 +96,35 @@ execute_process(COMMAND "${WASABI_CLI}" test "${app}" --json --fail-fast
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "CLI rejected valid robustness flags: ${rc}")
 endif()
+
+# A flag is accepted only by the subcommands whose handler reads it: one that
+# would be silently ignored exits 2 with the usage line instead of 0. Each
+# quoted item is a whole command line.
+foreach(bad_args IN ITEMS
+        "static;${app};--scale;2" "static;${app};--chaos;1:0.1"
+        "static;${app};--record;${WORK_DIR}/rec" "static;${app};--jobs;2"
+        "identify;${app};--chaos;1:0.1" "identify;${app};--json"
+        "identify;${app};--repetitions;3" "storm;${app};--cache-dir=${WORK_DIR}/c"
+        "storm;${app};--engine=tree" "test;${app};--scale;2"
+        "repair;${app};--record;${WORK_DIR}/rec"
+        "dump-corpus;${WORK_DIR}/unused;--fail-fast"
+        "dump-corpus;${WORK_DIR}/unused;--json")
+  execute_process(COMMAND "${WASABI_CLI}" ${bad_args}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "CLI must exit 2 for '${bad_args}', got ${rc}")
+  endif()
+  if(NOT err MATCHES "does not apply to the")
+    message(FATAL_ERROR "no scoping error for '${bad_args}': ${err}")
+  endif()
+endforeach()
+
+# The flags each handler does read stay accepted.
+foreach(good_args IN ITEMS
+        "static;${app};--json;--cache-dir=${WORK_DIR}/static-cache"
+        "identify;${app};--cache-dir=${WORK_DIR}/identify-cache")
+  execute_process(COMMAND "${WASABI_CLI}" ${good_args} RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "CLI rejected '${good_args}': ${rc}")
+  endif()
+endforeach()

@@ -147,9 +147,11 @@ namespace {
 
 using namespace wasabi;
 
-// Parsed command-line options. The analysis commands read all of them; the
-// report command reads only the five artifact paths, which name the files to
-// read (--journal/--metrics/--trace/--repair) and the HTML to write (--out).
+// Parsed command-line options. Each subcommand reads only the fields its
+// handler needs, and the flag table scopes every flag to exactly those
+// subcommands; the report command reads only the five artifact paths, which
+// name the files to read (--journal/--metrics/--trace/--repair) and the HTML
+// to write (--out).
 struct CliOptions {
   bool json = false;
   bool progress = false;
@@ -182,6 +184,10 @@ enum Command : unsigned {
 };
 // The commands that take a directory argument before their flags.
 constexpr unsigned kAnalysis = kDumpCorpus | kIdentify | kStatic | kTest | kStorm | kRepair;
+// The commands that print a report (--json) and feed the observability sinks.
+constexpr unsigned kReporting = kStatic | kTest | kStorm | kRepair;
+// The commands that run the injection campaign (DynamicOptionsFor).
+constexpr unsigned kCampaign = kTest | kRepair;
 
 unsigned CommandBit(std::string_view name) {
   static const std::pair<std::string_view, unsigned> kCommands[] = {
@@ -198,9 +204,9 @@ unsigned CommandBit(std::string_view name) {
 constexpr int64_t kMaxJobs = 1024;
 
 // --storm-duration upper bound, in simulated ms. The simulator's run time is
-// linear in the simulated duration (about 5 ms of host time per simulated
-// second on stormlab), so ten simulated minutes caps a storm run at about 3 s
-// instead of letting an INT64_MAX duration run until it is killed.
+// linear in the simulated duration (about 1 ms of host time per simulated
+// second on stormlab), so ten simulated minutes caps a storm run at about
+// 0.6 s instead of letting an INT64_MAX duration run until it is killed.
 constexpr int64_t kMaxStormDurationMs = 600000;
 
 // What a flag's value must be: none (a switch), a decimal integer in
@@ -219,7 +225,7 @@ struct Flag {
   const char* name;
   const char* usage = "";  // Usage-line fragment after the name.
   Kind kind = Kind::kSwitch;
-  unsigned commands = kAnalysis;  // The Command bits that accept the flag.
+  unsigned commands = 0;          // The Command bits whose handler reads the flag.
   bool required = false;          // Must be given (and is unbracketed in the usage).
   int64_t lo = 0, hi = INT64_MAX;  // kInt: the accepted range.
   void (*set)(CliOptions&, const FlagValue&) = nullptr;  // All kinds but kCustom.
@@ -257,40 +263,49 @@ std::string ParseStormFault(const std::string& text, CliOptions& cli) {
 
 // The flag table, in usage-line order.
 const Flag kFlags[] = {
-    {.name = "--json", .set = [](CliOptions& c, const FlagValue&) { c.json = true; }},
-    {.name = "--jobs", .usage = " N", .kind = Kind::kInt, .lo = 1, .hi = kMaxJobs,
+    {.name = "--json", .commands = kReporting,
+     .set = [](CliOptions& c, const FlagValue&) { c.json = true; }},
+    {.name = "--jobs", .usage = " N", .kind = Kind::kInt, .commands = kTest | kStorm | kRepair,
+     .lo = 1, .hi = kMaxJobs,
      .set = [](CliOptions& c, const FlagValue& v) { c.jobs = static_cast<int>(v.number); }},
-    {.name = "--trace-out", .usage = "=FILE", .kind = Kind::kText,
+    {.name = "--trace-out", .usage = "=FILE", .kind = Kind::kText, .commands = kReporting,
      .set = [](CliOptions& c, const FlagValue& v) { c.trace_out = v.text; }},
-    {.name = "--metrics-out", .usage = "=FILE", .kind = Kind::kText,
+    {.name = "--metrics-out", .usage = "=FILE", .kind = Kind::kText, .commands = kReporting,
      .set = [](CliOptions& c, const FlagValue& v) { c.metrics_out = v.text; }},
     {.name = "--metrics-format", .usage = "=json|openmetrics", .kind = Kind::kChoice,
+     .commands = kReporting,
      .set = [](CliOptions& c, const FlagValue& v) { c.metrics_format = v.text; }},
-    {.name = "--journal-out", .usage = "=FILE", .kind = Kind::kPath,
+    {.name = "--journal-out", .usage = "=FILE", .kind = Kind::kPath, .commands = kReporting,
      .set = [](CliOptions& c, const FlagValue& v) { c.journal_out = v.text; }},
-    {.name = "--report-out", .usage = "=FILE", .kind = Kind::kPath,
+    {.name = "--report-out", .usage = "=FILE", .kind = Kind::kPath, .commands = kReporting,
      .set = [](CliOptions& c, const FlagValue& v) { c.report_out = v.text; }},
-    {.name = "--progress", .set = [](CliOptions& c, const FlagValue&) { c.progress = true; }},
-    {.name = "--engine", .usage = "=vm|tree", .kind = Kind::kChoice,
+    {.name = "--progress", .commands = kReporting,
+     .set = [](CliOptions& c, const FlagValue&) { c.progress = true; }},
+    {.name = "--engine", .usage = "=vm|tree", .kind = Kind::kChoice, .commands = kCampaign,
      .set = [](CliOptions& c, const FlagValue& v) { c.engine = v.text; }},
-    {.name = "--fail-fast", .set = [](CliOptions& c, const FlagValue&) { c.fail_fast = true; }},
-    {.name = "--max-quarantined", .usage = " N", .kind = Kind::kInt,
+    {.name = "--fail-fast", .commands = kCampaign,
+     .set = [](CliOptions& c, const FlagValue&) { c.fail_fast = true; }},
+    {.name = "--max-quarantined", .usage = " N", .kind = Kind::kInt, .commands = kCampaign,
      .set = [](CliOptions& c, const FlagValue& v) { c.max_quarantined = v.number; }},
     {.name = "--chaos", .usage = " SEED:RATE[:ENV_RATE]", .kind = Kind::kCustom,
+     .commands = kCampaign,
      .parse = [](const std::string& text, CliOptions& c) {
        std::string error;
        ParseChaosSpec(text, &c.chaos, &error);  // Fills `error` exactly when it fails.
        return error;
      }},
     {.name = "--cache-dir", .usage = "=DIR", .kind = Kind::kPath,
+     .commands = kIdentify | kStatic | kTest | kRepair,
      .set = [](CliOptions& c, const FlagValue& v) { c.cache_dir = v.text; }},
-    {.name = "--scale", .usage = " N", .kind = Kind::kInt, .lo = 1, .hi = INT_MAX,
+    {.name = "--scale", .usage = " N", .kind = Kind::kInt, .commands = kDumpCorpus,
+     .lo = 1, .hi = INT_MAX,
      .set = [](CliOptions& c, const FlagValue& v) { c.scale = static_cast<int>(v.number); }},
     {.name = "--app", .usage = " NAME", .kind = Kind::kPath, .commands = kDumpCorpus,
      .set = [](CliOptions& c, const FlagValue& v) { c.corpus_app = v.text; }},
-    {.name = "--repetitions", .usage = " N", .kind = Kind::kInt, .lo = 1, .hi = INT_MAX,
+    {.name = "--repetitions", .usage = " N", .kind = Kind::kInt, .commands = kCampaign,
+     .lo = 1, .hi = INT_MAX,
      .set = [](CliOptions& c, const FlagValue& v) { c.repetitions = static_cast<int>(v.number); }},
-    {.name = "--record", .usage = " DIR", .kind = Kind::kPath,
+    {.name = "--record", .usage = " DIR", .kind = Kind::kPath, .commands = kTest,
      .set = [](CliOptions& c, const FlagValue& v) { c.record_dir = v.text; }},
     {.name = "--replay", .usage = " ID", .kind = Kind::kInt, .commands = kTest,
      .set = [](CliOptions& c, const FlagValue& v) { c.replay_run_id = v.number; }},
