@@ -5,9 +5,10 @@
 //   cold    — no cache: every validation re-campaign recomputes the whole
 //             pipeline from scratch for every patch,
 //   sliced  — a fresh per-app CacheStore: the baseline populates the per-file
-//             q1/when namespaces once, and each validation re-campaign then
-//             reuses the unpatched slice, recomputing only the entries the
-//             patch's digest change invalidated.
+//             q1/when namespaces and the run memo once, and each validation
+//             re-campaign then reuses the unpatched slice: the SimLLM entries
+//             of every other file, and every coverage run and campaign
+//             attempt whose recorded code does not include the patched file.
 //
 // The committed BENCH_repair.json records per-app seconds for both passes,
 // the validation-phase cache traffic (the hits/misses split is the slicing

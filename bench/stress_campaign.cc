@@ -6,7 +6,7 @@
 //           store is populated and flushed,
 //   warm  — a fresh process image (fresh stores, fresh Wasabi instances)
 //           re-running the identical workload: per-file SimLLM results,
-//           coverage runs, and whole-campaign verdicts all replay,
+//           coverage runs, and campaign attempts all replay,
 //   off   — no cache at all, the byte-identity reference.
 //
 // The committed BENCH_cache.json records the cold/warm seconds and speedup

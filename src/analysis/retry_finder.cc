@@ -303,9 +303,14 @@ void RetryFinder::AttachLocations(RetryStructure& structure, const LoopCandidate
 }
 
 std::vector<RetryStructure> RetryFinder::FindLoopStructures() const {
+  return FindLoopStructures(FindCandidateLoops());
+}
+
+std::vector<RetryStructure> RetryFinder::FindLoopStructures(
+    const std::vector<LoopCandidate>& candidates) const {
   std::vector<RetryStructure> structures;
   CfgBuilder builder;
-  for (const LoopCandidate& candidate : FindCandidateLoops()) {
+  for (const LoopCandidate& candidate : candidates) {
     if (options_.require_keyword && !candidate.keyword_evidence) {
       continue;
     }

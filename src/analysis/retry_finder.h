@@ -56,6 +56,10 @@ class RetryFinder {
   // The CodeQL technique's final output: retry-loop structures (keyword filter
   // applied per options) with their retry-location triplets attached.
   std::vector<RetryStructure> FindLoopStructures() const;
+  // As above, over candidates the caller already found (FindCandidateLoops),
+  // so a caller that needs both builds every method's CFG once.
+  std::vector<RetryStructure> FindLoopStructures(
+      const std::vector<LoopCandidate>& candidates) const;
 
   // The follow-up query for an LLM-reported coordinator method: every call in
   // the method is a potential retried method; its signature exceptions are

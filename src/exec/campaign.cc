@@ -1,7 +1,10 @@
 #include "src/exec/campaign.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+
+#include "src/exec/campaign_cache.h"
 
 namespace wasabi {
 
@@ -81,7 +84,7 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
                                       const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
                                       const RobustnessOptions& options, const CampaignObs& obs,
                                       std::vector<InterpreterArena>* arenas,
-                                      std::vector<RunRecorder>* recorders) {
+                                      std::vector<RunRecorder>* recorders, const RunMemo* memo) {
   CampaignOutcome outcome;
   RobustnessStats& stats = outcome.robustness;
   std::vector<CampaignRunResult> results(specs.size());
@@ -184,6 +187,11 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
     if (admitted.empty()) {
       break;
     }
+    // Per admitted attempt: how it ended up (chaos-faulted before running,
+    // executed, or answered by the memo) and a memoized host failure.
+    enum : char { kFaulted, kExecuted, kMemoized };
+    std::vector<char> source(admitted.size(), kFaulted);
+    std::vector<std::optional<RunFailure>> memo_failures(admitted.size());
     std::vector<std::exception_ptr> errors = pool.ParallelForCaptured(
         admitted.size(), [&](size_t w) {
           const size_t i = admitted[w];
@@ -206,6 +214,29 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
           // contributes no injection counters — the fault-free metric totals
           // stay reachable by retry.
           ChaosMaybeFault(options.chaos, spec.id, attempt);
+          CampaignRunResult& result = results[i];
+          result.id = spec.id;
+          result.location_index = spec.location_index;
+          result.k = spec.k;
+          result.attempt = attempt;
+          if (memo != nullptr && memo->campaign_lookups()) {
+            MemoizedAttempt hit;
+            if (memo->LookupAttempt(spec, attempt, &hit)) {
+              source[w] = kMemoized;
+              span.AddArg("memoized", static_cast<int64_t>(1));
+              if (hit.completed) {
+                result.memoized = true;
+                result.reports = std::move(hit.reports);
+              } else {
+                memo_failures[w] = std::move(hit.failure);
+              }
+              if (obs.progress != nullptr) {
+                obs.progress->Tick();
+              }
+              return;
+            }
+          }
+          source[w] = kExecuted;
           FaultInjector injector({InjectionPoint{location.retried_method, location.coordinator,
                                                  location.exception_name, spec.k}},
                                  obs.metrics);
@@ -228,10 +259,10 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
             loop_observer.coordinator = location.coordinator;
             perturbation.loop_observer = &loop_observer;
           }
-          CampaignRunResult& result = results[i];
-          result.id = spec.id;
-          result.location_index = spec.location_index;
-          result.k = spec.k;
+          if (memo != nullptr) {
+            result.units = memo->NewRecorder();
+            perturbation.unit_recorder = &result.units;
+          }
           result.record = runner.RunTest(
               spec.test, {&injector},
               &arena_pool[static_cast<size_t>(TaskPool::CurrentWorker())], perturbation);
@@ -268,8 +299,10 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
     for (size_t w = 0; w < admitted.size(); ++w) {
       const size_t i = admitted[w];
       ++attempts[i];
+      outcome.executed_attempts += source[w] == kExecuted ? 1 : 0;
+      outcome.memoized_attempts += source[w] == kMemoized ? 1 : 0;
       const std::string key = locations[specs[i].location_index].Key();
-      if (!errors[w]) {
+      if (!errors[w] && !memo_failures[w].has_value()) {
         completed[i] = 1;
         breaker.RecordSuccess(key);
         if (attempts[i] > 1) {
@@ -277,7 +310,16 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
         }
         continue;
       }
-      RunFailure failure = ClassifyFailure(errors[w]);
+      RunFailure failure =
+          errors[w] ? ClassifyFailure(errors[w]) : std::move(*memo_failures[w]);
+      if (memo != nullptr && source[w] == kExecuted) {
+        // A failure that escaped a real execution is memoized like an
+        // outcome; chaos faults are redrawn from the seam every time.
+        MemoizedAttempt failed;
+        failed.completed = false;
+        failed.failure = failure;
+        memo->StoreAttempt(specs[i], attempts[i], results[i].units, failed);
+      }
       if (failure.chaos) {
         ++stats.chaos_faults;
       }
@@ -334,6 +376,9 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
   if (obs.metrics != nullptr) {
     obs.metrics->Increment("campaign.runs_total", static_cast<int64_t>(outcome.results.size()));
     for (const CampaignRunResult& result : outcome.results) {
+      if (result.memoized) {
+        continue;  // No record: the memo keeps verdicts, not telemetry.
+      }
       obs.metrics->Observe("runner.steps", static_cast<double>(result.record.steps));
       obs.metrics->Observe("runner.loop_iterations",
                            static_cast<double>(result.record.loop_iterations));
@@ -349,7 +394,7 @@ std::vector<CoverageRunOutcome> ExecuteCoverageRuns(
     const TestRunner& runner, const std::vector<TestCase>& tests,
     const std::vector<RetryLocation>& locations, TaskPool& pool,
     const RobustnessOptions& options, const CampaignObs& obs,
-    const std::vector<size_t>& original_indices) {
+    const std::vector<size_t>& original_indices, const RunMemo* memo) {
   std::vector<CoverageRunOutcome> per_test(tests.size());
   std::vector<InterpreterArena> arenas(static_cast<size_t>(pool.worker_count()));
 
@@ -369,9 +414,13 @@ std::vector<CoverageRunOutcome> ExecuteCoverageRuns(
           }
           ChaosMaybeFault(options.chaos, CoverageChaosIdentity(original_indices[i]), attempt);
           CoverageRecorder recorder(&locations);
+          UnitRecorder units = memo != nullptr ? memo->NewRecorder() : UnitRecorder();
+          RunPerturbation perturbation;
+          perturbation.unit_recorder = memo != nullptr ? &units : nullptr;
           runner.RunTest(tests[i], {&recorder},
-                         &arenas[static_cast<size_t>(TaskPool::CurrentWorker())]);
+                         &arenas[static_cast<size_t>(TaskPool::CurrentWorker())], perturbation);
           per_test[i].hits = recorder.hits();
+          per_test[i].units = units.units();
           if (obs.progress != nullptr) {
             obs.progress->Tick();
           }

@@ -26,9 +26,12 @@
 #include "src/record/recorder.h"
 #include "src/robust/robust.h"
 #include "src/testing/coverage.h"
+#include "src/testing/oracles.h"
 #include "src/testing/runner.h"
 
 namespace wasabi {
+
+class RunMemo;  // src/exec/campaign_cache.h
 
 // Optional observability sinks threaded through the executor. All four are
 // non-owning and may be null; the default-constructed value is "fully off".
@@ -58,7 +61,15 @@ struct CampaignRunResult {
   uint64_t id = 0;
   size_t location_index = 0;
   int k = kInjectOnce;
+  int attempt = 1;       // The attempt that completed.
   TestRunRecord record;  // Holds this run's private execution log.
+  // With a run memo attached (docs/CACHING.md): either the completing attempt
+  // was served by the memo — `record` is empty and `reports` holds its
+  // post-oracle reports — or it executed and `units` holds the units it ran
+  // code from (probe reruns add theirs before the outcome is stored).
+  bool memoized = false;
+  std::vector<OracleReport> reports;
+  UnitRecorder units;
 };
 
 // Expands the plan into run specs: for each entry, one spec per K value, in
@@ -82,6 +93,8 @@ struct CampaignOutcome {
   std::vector<CampaignRunResult> results;  // Completed runs only, id-ordered.
   std::vector<RunFailure> quarantined;     // Given-up runs, id-ordered.
   RobustnessStats robustness;
+  int64_t executed_attempts = 0;  // Attempts that ran the test.
+  int64_t memoized_attempts = 0;  // Attempts the run memo answered.
 };
 
 // Executes every spec on the pool. Completed results and quarantine records
@@ -101,13 +114,19 @@ struct CampaignOutcome {
 //     choices, and quarantine outcomes. The caller appends the final verdict
 //     (an oracle-phase fact) and serializes. Recording never changes the
 //     campaign's observable outcome.
+//   * `memo` — the dependency-keyed run memo (src/exec/campaign_cache.h).
+//     Each admitted attempt past the chaos seam is looked up first; a hit
+//     supplies its post-oracle reports or host-failure kind without running.
+//     Executed attempts record the units they touch; host failures are
+//     stored here, completed runs by the caller once their reports are final.
 CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
                                       const std::vector<RetryLocation>& locations,
                                       const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
                                       const RobustnessOptions& options,
                                       const CampaignObs& obs = {},
                                       std::vector<InterpreterArena>* arenas = nullptr,
-                                      std::vector<RunRecorder>* recorders = nullptr);
+                                      std::vector<RunRecorder>* recorders = nullptr,
+                                      const RunMemo* memo = nullptr);
 
 // Fault-contained coverage discovery: a test whose coverage run keeps failing
 // at the host level is quarantined (location "<coverage>") and simply covers
@@ -127,7 +146,7 @@ CoverageOutcome MapCoverageRobust(const TestRunner& runner, const std::vector<Te
 // --- Coverage execute/reduce split (docs/CACHING.md) ------------------------
 //
 // The robust coverage pass factors into a wave executor and a deterministic
-// reduce so the incremental cache (src/exec/campaign_cache.h) can execute
+// reduce so the run memo (src/exec/campaign_cache.h) can execute
 // only the tests whose entries are missing and still reduce the merged
 // per-test outcomes exactly like a cache-off run. MapCoverageRobust is the
 // composition of the two over the full test list.
@@ -145,17 +164,20 @@ struct CoverageRunOutcome {
   RunFailureKind failure_kind = RunFailureKind::kHostException;
   std::string failure_detail;
   bool failure_chaos = false;
+  // With a run memo attached: the units the completing attempt executed.
+  std::vector<uint32_t> units;
 };
 
 // Runs the wave loop over `tests`. `original_indices` (parallel to `tests`)
 // carries each test's index in the FULL discovery list: chaos identities,
 // backoff streams, and quarantine run ids derive from it, so executing a
-// subset behaves byte-identically to its slice of a full pass.
+// subset behaves byte-identically to its slice of a full pass. With a memo,
+// every run records the units it executes into its outcome.
 std::vector<CoverageRunOutcome> ExecuteCoverageRuns(
     const TestRunner& runner, const std::vector<TestCase>& tests,
     const std::vector<RetryLocation>& locations, TaskPool& pool,
     const RobustnessOptions& options, const CampaignObs& obs,
-    const std::vector<size_t>& original_indices);
+    const std::vector<size_t>& original_indices, const RunMemo* memo = nullptr);
 
 // Serial reduce over the full, discovery-ordered outcome list: coverage map,
 // id-ordered quarantine records, summed stats, and the reduce-time metric

@@ -26,13 +26,14 @@ namespace {
 std::string ProbeSignature(const TestRunner& runner, const RetryLocation& location,
                            const CampaignRunSpec& spec, InterpreterArena* arena,
                            const OracleOptions& oracles, int64_t epoch_ms,
-                           bool degraded_env) {
+                           bool degraded_env, UnitRecorder* units) {
   FaultInjector injector({InjectionPoint{location.retried_method, location.coordinator,
                                          location.exception_name, spec.k}},
                          nullptr);
   RunPerturbation perturbation;
   perturbation.virtual_clock_epoch_ms = epoch_ms;
   perturbation.chaos_degraded_env = degraded_env;
+  perturbation.unit_recorder = units;
   TestRunRecord record = runner.RunTest(spec.test, {&injector}, arena, perturbation);
   return OracleSignature(
       DeduplicateReports(EvaluateOracles(record, location, oracles)));
@@ -97,7 +98,8 @@ std::vector<ProbeResult> ProbeFailingRuns(const TestRunner& runner,
           ++result.repetitions;
           std::string signature =
               ProbeSignature(runner, location, spec, arena, oracles,
-                             static_cast<int64_t>(rep) * options.epoch_stride_ms, degraded);
+                             static_cast<int64_t>(rep) * options.epoch_stride_ms, degraded,
+                             request.units);
           diverged = signature != request.baseline_signature;
           if (jr != nullptr) {
             jr->ProbeRepetition(rep, diverged, /*counterfactual=*/false);
@@ -115,7 +117,8 @@ std::vector<ProbeResult> ProbeFailingRuns(const TestRunner& runner,
             // vanishes, the environment caused it.
             ++result.repetitions;
             std::string signature = ProbeSignature(runner, location, spec, arena, oracles,
-                                                   /*epoch_ms=*/0, /*degraded_env=*/false);
+                                                   /*epoch_ms=*/0, /*degraded_env=*/false,
+                                                   request.units);
             const bool vanished = signature != request.baseline_signature;
             if (jr != nullptr) {
               jr->ProbeRepetition(result.repetitions, vanished, /*counterfactual=*/true);

@@ -50,6 +50,9 @@ std::string OracleSignature(const std::vector<OracleReport>& reports);
 struct ProbeRequest {
   uint64_t run_id = 0;  // Index into the campaign's spec list.
   std::string baseline_signature;
+  // Optional: receives the units every rerun executes, so the run memo keys
+  // the run's classified verdict by the probes' code too.
+  UnitRecorder* units = nullptr;
 };
 
 struct ProbeResult {

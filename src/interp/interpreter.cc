@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "src/interp/unit_recorder.h"
 #include "src/vm/bytecode.h"
 #include "src/vm/vm.h"
 
@@ -38,6 +39,7 @@ void Interpreter::ResetForRun() {
   interceptors_.clear();
   dispatch_observer_ = nullptr;
   loop_observer_ = nullptr;
+  unit_recorder_ = nullptr;
   log_.Clear();
   virtual_time_ms_ = 0;
   run_epoch_ms_ = 0;
@@ -184,6 +186,9 @@ void Interpreter::ThrowTypeError(const char* expected, const Value& value,
 
 ObjectRef Interpreter::NewInstance(const mj::ClassDecl& cls) {
   const mj::FieldLayout& layout = index_.field_layout(cls);
+  if (unit_recorder_ != nullptr) [[unlikely]] {
+    unit_recorder_->OnClass(cls);
+  }
   auto object = std::make_shared<Object>(ObjectKind::kInstance, cls.name);
   object->set_decl(&cls);
   object->BindLayout(&layout);
@@ -682,6 +687,9 @@ Value Interpreter::CallMethod(const mj::MethodDecl& method, ObjectRef self,
   event.site = site;
   for (CallInterceptor* interceptor : interceptors_) {
     interceptor->OnCall(event, *this);  // May throw ThrownException.
+  }
+  if (unit_recorder_ != nullptr) [[unlikely]] {
+    unit_recorder_->OnMethod(method);
   }
 
   if (method.body == nullptr) {

@@ -74,6 +74,7 @@ struct CallEvent {
 };
 
 class Interpreter;
+class UnitRecorder;
 
 // AspectJ-pointcut analog (§3.1.2): runs right before a callee executes and
 // may throw ThrownException to simulate a fault.
@@ -141,6 +142,9 @@ class Interpreter {
   void set_dispatch_observer(DispatchObserver* observer) { dispatch_observer_ = observer; }
   // Non-owning; cleared by ResetForRun. Same null-by-default discipline.
   void set_loop_observer(LoopObserver* observer) { loop_observer_ = observer; }
+  // Non-owning; cleared by ResetForRun. Records the units of every method
+  // entered and class instantiated (src/interp/unit_recorder.h).
+  void set_unit_recorder(UnitRecorder* recorder) { unit_recorder_ = recorder; }
 
   // --- Run perturbation ------------------------------------------------------
   // Starts the virtual clock at `epoch_ms` instead of 0. The time BUDGET stays
@@ -365,6 +369,7 @@ class Interpreter {
 
   DispatchObserver* dispatch_observer_ = nullptr;
   LoopObserver* loop_observer_ = nullptr;
+  UnitRecorder* unit_recorder_ = nullptr;
   ExecutionLog log_;
   int64_t virtual_time_ms_ = 0;
   int64_t run_epoch_ms_ = 0;

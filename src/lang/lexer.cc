@@ -77,7 +77,7 @@ void Lexer::SkipWhitespaceAndComments() {
         ++pos_;
       }
       Comment comment;
-      comment.location = file_.LocationFor(start);
+      comment.location = file_.LocationFrom(start, &line_hint_);
       comment.text = TrimCopy(text_.substr(text_start, pos_ - text_start));
       comment.is_block = false;
       comments_.push_back(std::move(comment));
@@ -97,7 +97,7 @@ void Lexer::SkipWhitespaceAndComments() {
         pos_ += 2;
       }
       Comment comment;
-      comment.location = file_.LocationFor(start);
+      comment.location = file_.LocationFrom(start, &line_hint_);
       comment.text = TrimCopy(text_.substr(text_start, text_end - text_start));
       comment.is_block = true;
       comments_.push_back(std::move(comment));
@@ -110,7 +110,7 @@ void Lexer::SkipWhitespaceAndComments() {
 Token Lexer::MakeToken(TokenKind kind, uint32_t start) {
   Token token;
   token.kind = kind;
-  token.location = file_.LocationFor(start);
+  token.location = file_.LocationFrom(start, &line_hint_);
   token.text = text_.substr(start, pos_ - start);
   return token;
 }

@@ -59,6 +59,7 @@ class Lexer {
   DiagnosticEngine& diag_;
   std::string_view text_;
   uint32_t pos_ = 0;
+  uint32_t line_hint_ = 0;  // SourceFile::LocationFrom cursor.
   std::vector<Comment> comments_;
   SymbolTable symbols_;
   std::deque<std::string> string_storage_;  // Stable addresses for the views.

@@ -12,6 +12,12 @@ CompilationUnit* Program::AddUnit(std::unique_ptr<CompilationUnit> unit) {
   return units_.back().get();
 }
 
+std::unique_ptr<CompilationUnit> Program::ReplaceUnit(size_t index,
+                                                      std::unique_ptr<CompilationUnit> unit) {
+  units_[index].swap(unit);
+  return unit;
+}
+
 const std::vector<BuiltinException>& BuiltinExceptions() {
   // Mirrors the exception types named by the paper's studied bugs (§2) plus
   // the common Java types the corpus applications use. `typically_transient`

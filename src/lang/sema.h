@@ -60,6 +60,8 @@ class Program {
   Program& operator=(Program&&) = default;
 
   CompilationUnit* AddUnit(std::unique_ptr<CompilationUnit> unit);
+  // Puts `unit` at position `index` and returns the unit it displaces.
+  std::unique_ptr<CompilationUnit> ReplaceUnit(size_t index, std::unique_ptr<CompilationUnit> unit);
 
   const std::vector<std::unique_ptr<CompilationUnit>>& units() const { return units_; }
 

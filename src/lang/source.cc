@@ -31,6 +31,23 @@ SourceLocation SourceFile::LocationFor(uint32_t offset) const {
   return loc;
 }
 
+SourceLocation SourceFile::LocationFrom(uint32_t offset, uint32_t* line_hint) const {
+  offset = std::min<uint32_t>(offset, static_cast<uint32_t>(text_.size()));
+  uint32_t line_index = *line_hint;
+  if (line_index >= line_offsets_.size() || line_offsets_[line_index] > offset) {
+    return LocationFor(offset);
+  }
+  while (line_index + 1 < line_offsets_.size() && line_offsets_[line_index + 1] <= offset) {
+    ++line_index;
+  }
+  *line_hint = line_index;
+  SourceLocation loc;
+  loc.offset = offset;
+  loc.line = line_index + 1;
+  loc.column = offset - line_offsets_[line_index] + 1;
+  return loc;
+}
+
 std::string_view SourceFile::LineText(uint32_t line) const {
   if (line == 0 || line > line_count()) {
     return {};

@@ -42,6 +42,10 @@ class SourceFile {
   // Builds a full SourceLocation (line/column) for a byte offset. Offsets past
   // the end of the file are clamped to the last position.
   SourceLocation LocationFor(uint32_t offset) const;
+  // LocationFor for callers that ask in non-decreasing offset order (the
+  // lexer): `*line_hint` keeps the line index between calls, so each lookup
+  // is amortized O(1). Any order stays correct, only slower.
+  SourceLocation LocationFrom(uint32_t offset, uint32_t* line_hint) const;
 
   // Returns the text of a 1-based line without its trailing newline.
   std::string_view LineText(uint32_t line) const;

@@ -27,9 +27,11 @@
 //
 // Every patch is validated INDEPENDENTLY against the pristine baseline, and
 // validation campaigns share the caller's CacheStore: per-file namespaces
-// (q1/when) stay warm for every unpatched file, so each re-campaign only
-// re-runs the digest-invalidated slice while remaining byte-identical to a
-// cold re-campaign (repair_e2e_test proves both halves).
+// (q1/when) stay warm for every unpatched file, and the run memo the baseline
+// filled answers every coverage run and campaign attempt that never executed
+// the patched file, so each re-campaign only re-runs that slice while
+// remaining byte-identical to a cache-off one (repair_e2e_test proves both
+// halves). Storm profiles are reused from the baseline the same way.
 //
 // Determinism: the report is a pure function of (program, options) — byte
 // identical at any jobs level, any cache state, and both interpreter engines.

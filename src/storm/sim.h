@@ -1,11 +1,10 @@
 // Determinism kit for the retry-storm simulator (docs/STORM.md).
 //
-// Three small pieces, modeled on the Mars-sim SimClock/Rng/Recorder idiom the
-// ROADMAP names: a virtual clock that only ever moves when an event says so,
-// a seeded splittable RNG (splitmix64) so every edge draws jitter from its
-// own stream regardless of event interleaving, and a timing-wheel event queue
-// that pops in (time, tiebreak seq) order so same-instant events pop in push
-// order.
+// Two small pieces, modeled on the Mars-sim Rng/Recorder idiom: a seeded
+// splittable RNG (splitmix64) so every edge draws jitter from its own stream
+// regardless of event interleaving, and a timing-wheel event queue that pops
+// in (time, tiebreak seq) order so same-instant events pop in push order.
+// Virtual time is the popped event's timestamp; nothing else keeps a clock.
 // Nothing here reads wall time; a storm run is a pure function of
 // (profiles, options, seed).
 
@@ -20,24 +19,6 @@
 #include <vector>
 
 namespace wasabi {
-
-// Virtual milliseconds. Advanced only by the event loop, never by wall time.
-class SimClock {
- public:
-  int64_t now_ms() const { return now_ms_; }
-
-  // Time is monotone: popping the event queue in (time, seq) order can only
-  // move the clock forward, so a backwards AdvanceTo is clamped (and would
-  // indicate a scheduling bug upstream).
-  void AdvanceTo(int64_t t_ms) {
-    if (t_ms > now_ms_) {
-      now_ms_ = t_ms;
-    }
-  }
-
- private:
-  int64_t now_ms_ = 0;
-};
 
 // splitmix64 (Steele et al., "Fast splittable pseudorandom number
 // generators"): tiny state, full 64-bit period per stream, and cheap

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "src/core/report_json.h"
@@ -39,6 +38,7 @@ struct Ev {
 struct Request {
   int attempt = 1;
   bool probe = false;  // Admitted as the breaker's half-open probe.
+  bool live = true;    // Cleared when the request completes, times out or is shed.
 };
 
 struct EdgeRt {
@@ -47,12 +47,18 @@ struct EdgeRt {
   CircuitBreaker breaker{1};
   SimRng rng{0};
   JournalRun run;
-  std::unordered_map<uint64_t, Request> live;
+  // Every request the edge issued, indexed by its dense id, and how many of
+  // them are still live.
+  std::vector<Request> requests;
+  int64_t live = 0;
   int64_t wave_ms = -1;    // For wave_peak: the ms of the latest retry
   int64_t wave_count = 0;  // dispatch, and how many retries it dispatched.
-  uint64_t next_req = 0;
   int64_t inflight_retries = 0;
   int64_t queued = 0;  // Copies currently in the backend queue / in service.
+
+  Request* Live(uint64_t id) {
+    return id < requests.size() && requests[id].live ? &requests[id] : nullptr;
+  }
 };
 
 struct BackendCopy {
@@ -114,7 +120,6 @@ class StormSim {
       if (entry.at_ms > opt_.duration_ms) {
         break;  // The queue pops in time order: everything left is past the end.
       }
-      clock_.AdvanceTo(entry.at_ms);
       Handle(entry.at_ms, entry.payload);
     }
     Finalize();
@@ -142,7 +147,7 @@ class StormSim {
         break;
       case EvKind::kDispatch: {
         EdgeRt& edge = edges_[ev.edge];
-        if (edge.live.find(ev.req) != edge.live.end()) {
+        if (edge.Live(ev.req) != nullptr) {
           Dispatch(t, ev.edge, ev.req, ev.attempt);
         }
         break;
@@ -181,8 +186,9 @@ class StormSim {
           edge.run.BreakerTransition(JournalEventKind::kBreakerHalfOpen, t);
         }
       }
-      uint64_t id = edge.next_req++;
-      edge.live.emplace(id, Request{1, probe});
+      const uint64_t id = edge.requests.size();
+      edge.requests.push_back(Request{1, probe});
+      edge.live++;
       queue_.Push(t + opt_.request_timeout_ms, Ev{EvKind::kTimeout, e, id});
       Dispatch(t, e, id, 1);
     }
@@ -279,8 +285,8 @@ class StormSim {
 
   void Response(int64_t t, const Ev& ev) {
     EdgeRt& edge = edges_[ev.edge];
-    auto it = edge.live.find(ev.req);
-    if (it == edge.live.end() || it->second.attempt != ev.attempt) {
+    Request* req = edge.Live(ev.req);
+    if (req == nullptr || req->attempt != ev.attempt) {
       return;  // Request already completed (e.g. client timeout) — stale.
     }
     const EdgeRetryProfile& p = edge.stats.profile;
@@ -291,30 +297,30 @@ class StormSim {
         edge.stats.time_to_recover_ms = t - opt_.fault_end_ms;
       }
       RecordBreaker(t, ev.edge, /*success=*/true);
-      Complete(ev.edge, it);
+      Complete(ev.edge, *req);
       return;
     }
     if (ev.overload && !p.retries_on_overload) {
       edge.stats.shed_on_overload++;  // Honors push-back: shed, don't retry.
       RecordBreaker(t, ev.edge, /*success=*/false);
-      Complete(ev.edge, it);
+      Complete(ev.edge, *req);
       return;
     }
     if (!ev.overload && p.bounded && ev.attempt >= p.attempts) {
       edge.stats.gave_up++;
       RecordBreaker(t, ev.edge, /*success=*/false);
-      Complete(ev.edge, it);
+      Complete(ev.edge, *req);
       return;
     }
-    Retry(t, ev.edge, it, ev.attempt, ev.overload);
+    Retry(t, ev.edge, ev.req, *req, ev.overload);
   }
 
-  void Retry(int64_t t, int e, std::unordered_map<uint64_t, Request>::iterator it,
-             int attempt, bool overload) {
+  void Retry(int64_t t, int e, uint64_t id, Request& req, bool overload) {
     EdgeRt& edge = edges_[e];
     const EdgeRetryProfile& p = edge.stats.profile;
+    const int attempt = req.attempt;
     int next = attempt + 1;
-    it->second.attempt = next;
+    req.attempt = next;
     if (next == 2) {
       edge.inflight_retries++;
       edge.stats.inflight_retries_max =
@@ -335,18 +341,18 @@ class StormSim {
         delay = std::max<int64_t>(1, base / 2 + edge.rng.NextInt(0, base - base / 2));
       }
     }
-    queue_.Push(t + delay, Ev{EvKind::kDispatch, e, it->first, next});
+    queue_.Push(t + delay, Ev{EvKind::kDispatch, e, id, next});
   }
 
   void Timeout(int64_t t, const Ev& ev) {
     EdgeRt& edge = edges_[ev.edge];
-    auto it = edge.live.find(ev.req);
-    if (it == edge.live.end()) {
+    Request* req = edge.Live(ev.req);
+    if (req == nullptr) {
       return;
     }
     edge.stats.timed_out++;
     RecordBreaker(t, ev.edge, /*success=*/false);
-    Complete(ev.edge, it);
+    Complete(ev.edge, *req);
   }
 
   // Request-level breaker accounting; transitions go to the edge journal.
@@ -373,13 +379,14 @@ class StormSim {
     }
   }
 
-  void Complete(int e, std::unordered_map<uint64_t, Request>::iterator it) {
+  void Complete(int e, Request& req) {
     EdgeRt& edge = edges_[e];
-    if (it->second.attempt >= 2) {
+    if (req.attempt >= 2) {
       edge.inflight_retries--;
     }
-    edge.stats.needed_attempts += std::min<int64_t>(it->second.attempt, 4);
-    edge.live.erase(it);
+    edge.stats.needed_attempts += std::min<int64_t>(req.attempt, 4);
+    req.live = false;
+    edge.live--;
   }
 
   void Sample(int64_t t) {
@@ -408,10 +415,11 @@ class StormSim {
         (opt_.recovery_window_ms / opt_.arrival_interval_ms) * opt_.burst;
     for (EdgeRt& edge : edges_) {
       StormEdgeStats& s = edge.stats;
-      s.unfinished = static_cast<int64_t>(edge.live.size());
-      for (const auto& [id, req] : edge.live) {
-        (void)id;
-        s.needed_attempts += std::min<int64_t>(req.attempt, 4);
+      s.unfinished = edge.live;
+      for (const Request& req : edge.requests) {
+        if (req.live) {
+          s.needed_attempts += std::min<int64_t>(req.attempt, 4);
+        }
       }
       s.amplification_x1000 = s.copies_sent * 1000 / std::max<int64_t>(1, s.needed_attempts);
       s.metastable = s.post_window_attempts > 2 * expected_window_arrivals;
@@ -483,7 +491,6 @@ class StormSim {
   StormOptions opt_;
   RetryJournal* journal_;
   StormReport report_;
-  SimClock clock_;
   EventQueue<Ev> queue_;
   std::vector<EdgeRt> edges_;
   JournalRun backend_run_;

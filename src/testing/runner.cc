@@ -87,6 +87,7 @@ TestRunRecord TestRunner::RunTest(const TestCase& test,
   }
   interp.set_dispatch_observer(perturbation.dispatch_observer);
   interp.set_loop_observer(perturbation.loop_observer);
+  interp.set_unit_recorder(perturbation.unit_recorder);
   if (perturbation.chaos_degraded_env) {
     interp.SetConfig("chaos.degraded", Value{true});
   }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/interp/interpreter.h"
+#include "src/interp/unit_recorder.h"
 #include "src/testing/test_model.h"
 
 namespace wasabi {
@@ -63,6 +64,9 @@ struct RunPerturbation {
   DispatchObserver* dispatch_observer = nullptr;
   // Non-owning; observes while/for back-edges for the retry journal.
   LoopObserver* loop_observer = nullptr;
+  // Non-owning; collects the units the run executes code from, for the
+  // dependency-keyed execution memo (docs/CACHING.md).
+  UnitRecorder* unit_recorder = nullptr;
 };
 
 class TestRunner {

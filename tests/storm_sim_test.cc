@@ -1,5 +1,5 @@
 // Unit tests for the storm simulator (src/storm): the determinism kit
-// (SimClock / SimRng / EventQueue) and the discrete-event engine driven by
+// (SimRng / EventQueue) and the discrete-event engine driven by
 // synthetic retry profiles, so every oracle fires (and stays quiet) on inputs
 // whose ground truth is known by construction.
 
@@ -23,17 +23,6 @@
 
 namespace wasabi {
 namespace {
-
-TEST(SimClockTest, AdvancesMonotonicallyAndClampsBackwardMoves) {
-  SimClock clock;
-  EXPECT_EQ(clock.now_ms(), 0);
-  clock.AdvanceTo(42);
-  EXPECT_EQ(clock.now_ms(), 42);
-  clock.AdvanceTo(7);  // Backwards: clamped, never rewinds.
-  EXPECT_EQ(clock.now_ms(), 42);
-  clock.AdvanceTo(42);
-  EXPECT_EQ(clock.now_ms(), 42);
-}
 
 TEST(SimRngTest, SameSeedSameStream) {
   SimRng a(123);

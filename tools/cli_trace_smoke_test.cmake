@@ -1,6 +1,7 @@
 # Runs the dynamic workflow on the smallest corpus app with --trace-out and
 # --metrics-out, checks both files parse as JSON (CMake's string(JSON) is a
-# strict parser), and checks instrumentation leaves stdout byte-identical.
+# strict parser), and checks instrumentation leaves stdout byte-identical;
+# then the same for `repair --trace-out` and its repair.* spans.
 # Also exercises the strict flag parser: unknown options and a valueless
 # --jobs must fail with a non-zero exit and the usage line.
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -56,6 +57,43 @@ file(READ "${metrics_file}" metrics_text)
 string(JSON runs ERROR_VARIABLE err GET "${metrics_text}" "counters" "campaign.runs_total")
 if(NOT err STREQUAL "NOTFOUND" OR runs LESS_EQUAL 0)
   message(FATAL_ERROR "metrics missing campaign.runs_total (got '${runs}', err='${err}')")
+endif()
+
+# repair --trace-out: stdout stays byte-identical, and the trace holds one
+# repair.baseline span plus one repair.validate span per confirmed verdict,
+# the patched ones tagged with the campaign attempts reused and executed.
+set(repair_trace "${WORK_DIR}/repair_trace.json")
+execute_process(COMMAND "${WASABI_CLI}" repair "${app}" --json --jobs 2
+                        "--cache-dir=${WORK_DIR}/repair_cache" "--trace-out=${repair_trace}"
+                OUTPUT_VARIABLE repair_traced RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "traced repair failed: ${rc}")
+endif()
+execute_process(COMMAND "${WASABI_CLI}" repair "${app}" --json --jobs 2
+                OUTPUT_VARIABLE repair_plain RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "plain repair failed: ${rc}")
+endif()
+if(NOT repair_traced STREQUAL repair_plain)
+  message(FATAL_ERROR "repair --trace-out changed stdout")
+endif()
+file(READ "${repair_trace}" repair_trace_text)
+string(JSON kind ERROR_VARIABLE err TYPE "${repair_trace_text}")
+if(NOT err STREQUAL "NOTFOUND" OR NOT kind STREQUAL "OBJECT")
+  message(FATAL_ERROR "${repair_trace} is not a JSON object: ${err}")
+endif()
+string(JSON confirmed GET "${repair_plain}" "totals" "confirmed")
+string(REGEX MATCHALL "\"name\":\"repair\\.baseline\"" baseline_spans "${repair_trace_text}")
+string(REGEX MATCHALL "\"name\":\"repair\\.validate\"" validate_spans "${repair_trace_text}")
+list(LENGTH baseline_spans baseline_count)
+list(LENGTH validate_spans validate_count)
+if(NOT baseline_count EQUAL 1 OR NOT validate_count EQUAL confirmed)
+  message(FATAL_ERROR "repair trace has ${baseline_count} repair.baseline and "
+                      "${validate_count} repair.validate spans for ${confirmed} verdicts")
+endif()
+if(NOT repair_trace_text MATCHES "\"runs_reused\":[0-9]+" OR
+   NOT repair_trace_text MATCHES "\"runs_executed\":[0-9]+")
+  message(FATAL_ERROR "repair.validate spans carry no runs_reused/runs_executed args")
 endif()
 
 # Flag-parser rejection paths: each must exit non-zero and print usage.
