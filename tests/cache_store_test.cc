@@ -7,6 +7,7 @@
 #include "src/cache/store.h"
 
 #include <unistd.h>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -116,6 +117,75 @@ TEST_F(CacheStoreTest, FlushPersistsAcrossSessionsAndLastWriteWins) {
   EXPECT_EQ(store->Get("run", "key1").value_or(""), "second");
   EXPECT_EQ(store->stats().corrupt_entries, 0);
   EXPECT_EQ(store->stats().version_mismatches, 0);
+}
+
+size_t CountLines(const std::string& text) {
+  return static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+TEST_F(CacheStoreTest, VariantsPersistAsRecordsAndFlushAppendsOnlyNewOnes) {
+  auto is = [](std::string_view want) {
+    return [want](std::string_view variant) { return variant == want; };
+  };
+  {
+    std::unique_ptr<CacheStore> store = Open();
+    store->AddVariant("run", "k", "v1");
+    store->AddVariant("run", "k", "v2");
+    store->AddVariant("run", "k", "v1");  // Duplicate: no new record.
+    EXPECT_EQ(store->stats().puts, 2);
+    std::string error;
+    ASSERT_TRUE(store->Flush(&error)) << error;
+  }
+  EXPECT_EQ(CountLines(ReadEntriesFile()), 2u);
+  {
+    std::unique_ptr<CacheStore> store = Open();
+    EXPECT_EQ(store->FindVariant("run", "k", is("v1")).value_or(""), "v1");
+    EXPECT_EQ(store->FindVariant("run", "k", is("v2")).value_or(""), "v2");
+    EXPECT_FALSE(store->FindVariant("run", "k", is("v3")).has_value());
+    // Variant keys and plain keys do not alias.
+    EXPECT_FALSE(store->Get("run", "k").has_value());
+    store->AddVariant("run", "k", "v3");
+    std::string error;
+    ASSERT_TRUE(store->Flush(&error)) << error;
+  }
+  // The second session appended one record, not the key's whole value.
+  EXPECT_EQ(CountLines(ReadEntriesFile()), 3u);
+  std::unique_ptr<CacheStore> store = Open();
+  EXPECT_EQ(store->FindVariant("run", "k", is("v3")).value_or(""), "v3");
+  CacheStats stats = store->stats();
+  EXPECT_EQ(stats.loaded_entries, 3);
+  EXPECT_EQ(stats.superseded_records, 0);
+  EXPECT_EQ(stats.hits_by_namespace.at("run"), 1);
+}
+
+TEST_F(CacheStoreTest, LoadKeepsTheNewestVariantsAndCompactsAMostlyDeadFile) {
+  const size_t added = 3 * kMaxVariantsPerKey;
+  size_t most_lines = 0;
+  for (size_t i = 0; i < added; ++i) {
+    std::unique_ptr<CacheStore> store = Open();
+    store->AddVariant("run", "k", "v" + std::to_string(i));
+    std::string error;
+    ASSERT_TRUE(store->Flush(&error)) << error;
+    most_lines = std::max(most_lines, CountLines(ReadEntriesFile()));
+  }
+  // A load that finds more than half its records evicted rewrites the file on
+  // the next flush, so the file stays within about twice the live records.
+  EXPECT_LE(most_lines, 2 * kMaxVariantsPerKey + 1);
+
+  // Across sessions only the newest kMaxVariantsPerKey variants survive.
+  std::unique_ptr<CacheStore> store = Open();
+  for (size_t i = 0; i < added; ++i) {
+    const std::string want = "v" + std::to_string(i);
+    const bool kept = i >= added - kMaxVariantsPerKey;
+    EXPECT_EQ(store->FindVariant("run", "k",
+                                 [&](std::string_view variant) { return variant == want; })
+                  .has_value(),
+              kept)
+        << want;
+  }
+  CacheStats stats = store->stats();
+  EXPECT_EQ(stats.loaded_entries - stats.superseded_records,
+            static_cast<int64_t>(kMaxVariantsPerKey));
 }
 
 TEST_F(CacheStoreTest, VersionMismatchDiscardsStoreAndRewrites) {
